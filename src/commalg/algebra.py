@@ -13,12 +13,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Mapping
 
 from .errors import InternalInvariantError, QuiverError
 from .fields import QQ
 from .quiver import Path, Quiver, compose
 from .structure import (
+    _block_values,
     condensation,
     path_components,
     reachability,
@@ -114,23 +116,16 @@ class CommutingAlgebra:
 
     def _verify_block_form(self) -> None:
         """Check the block shape of the pattern really holds; bugs only."""
-        offsets = [0]
-        for d in self.block_sizes:
-            offsets.append(offsets[-1] + d)
-        m = len(self.block_sizes)
-        bits = self.pattern.bits
-        for bi in range(m):
-            for bj in range(m):
-                block = {
-                    bits[i][j]
-                    for i in range(offsets[bi], offsets[bi + 1])
-                    for j in range(offsets[bj], offsets[bj + 1])
-                }
-                if len(block) != 1:
+        offsets = [0, *accumulate(self.block_sizes)]
+        masks = [((1 << d) - 1) << offsets[b] for b, d in enumerate(self.block_sizes)]
+        rows = self.pattern.rows
+        for bi in range(len(masks)):
+            values = _block_values(rows[offsets[bi]:offsets[bi + 1]], masks)
+            for bj, value in enumerate(values):
+                if value is None:
                     raise InternalInvariantError(
                         f"block ({bi}, {bj}) is neither all-true nor all-false"
                     )
-                value = block.pop()
                 if bi == bj and not value:
                     raise InternalInvariantError(f"diagonal block {bi} is not full")
                 if value != self.block_pattern[bi][bj]:

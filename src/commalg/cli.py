@@ -32,7 +32,6 @@ from .poset import (
 )
 from .quiver import Quiver, to_dot
 from .randgen import random_quiver
-from .structure import longest_chain
 
 __all__ = ["main", "run"]
 

@@ -118,14 +118,22 @@ class PrimeFieldElement:
         return f"{self.value} (mod {self.modulus})"
 
 
+# Miller-Rabin with the first 13 primes as witnesses is exact below the bound
+# (the least strong pseudoprime to all of them; Sorenson and Webster 2015).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_WITNESS_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p >= _WITNESS_BOUND:
+        raise QuiverError(f"{p} is too large to test for primality exactly")
+    if p < 2 or any(p % a == 0 for a in _WITNESSES):
+        return p in _WITNESSES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # 2**s exactly divides p - 1
+    for a in _WITNESSES:
+        x = pow(a, (p - 1) >> s, p)
+        if x != 1 and all(pow(x, 1 << r, p) != p - 1 for r in range(s)):
             return False
-        d += 1
     return True
 
 

@@ -20,7 +20,15 @@ from .quiver import Arrow, Quiver
 from .structure import (
     ComponentPartition,
     ReachabilityPattern,
+    Rows,
+    _bits,
+    _check_preorder,
+    _closure,
+    _covers,
     _longest_chain,
+    _matrix,
+    _rows,
+    _topological_order,
     condensation,
     path_components,
     reachability,
@@ -50,25 +58,10 @@ class Poset:
     leq: tuple[tuple[bool, ...], ...]
 
     def __post_init__(self):
-        m = len(self.elements)
-        if len(set(self.elements)) != m:
+        if len(set(self.elements)) != len(self.elements):
             raise QuiverError("poset elements must be pairwise distinct")
-        if len(self.leq) != m or any(len(row) != m for row in self.leq):
-            raise QuiverError("leq matrix shape does not match the elements")
-        for i in range(m):
-            if not self.leq[i][i]:
-                raise QuiverError("leq must be reflexive")
-            for j in range(m):
-                if i != j and self.leq[i][j] and self.leq[j][i]:
-                    raise QuiverError(
-                        f"leq must be antisymmetric: {self.elements[i]!r} and "
-                        f"{self.elements[j]!r} are comparable both ways"
-                    )
-                if not self.leq[i][j]:
-                    continue
-                for k in range(m):
-                    if self.leq[j][k] and not self.leq[i][k]:
-                        raise QuiverError("leq must be transitive")
+        _check_preorder(self.rows, QuiverError, "leq", antisymmetric=True,
+                        names=self.elements)
 
     @classmethod
     def from_pairs(
@@ -77,19 +70,21 @@ class Poset:
         """Reflexive-transitive closure of the given strict pairs."""
         elements = tuple(elements)
         index = {x: i for i, x in enumerate(elements)}
-        m = len(elements)
-        leq = [[i == j for j in range(m)] for i in range(m)]
+        edges = []
         for x, y in pairs:
             if x not in index or y not in index:
                 raise QuiverError(f"pair ({x!r}, {y!r}) mentions an unknown element")
-            leq[index[x]][index[y]] = True
-        for k in range(m):
-            for i in range(m):
-                if leq[i][k]:
-                    for j in range(m):
-                        if leq[k][j]:
-                            leq[i][j] = True
-        return cls(elements, tuple(tuple(row) for row in leq))
+            edges.append((index[x], index[y]))
+        return cls(elements, _matrix(_closure(len(elements), edges)))
+
+    @cached_property
+    def rows(self) -> Rows:
+        return _rows(self.leq, len(self.elements), QuiverError, "leq")
+
+    @cached_property
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """Cover pairs (i, j) of the Hasse diagram, row-major."""
+        return _covers(self.rows)
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -106,34 +101,16 @@ class Poset:
 
     def longest_chain(self) -> int:
         """Largest number of elements in a strictly increasing chain."""
-        return _longest_chain(self.leq)
+        return _longest_chain(self.rows)
 
     def linear_extension(self) -> tuple[int, ...]:
         """Indices in a topological order compatible with leq (deterministic)."""
-        m = len(self.elements)
-        remaining = set(range(m))
-        out: list[int] = []
-        while remaining:
-            ready = [
-                i
-                for i in remaining
-                if all(j == i or not self.leq[j][i] for j in remaining)
-            ]
-            if not ready:
-                raise InternalInvariantError("leq has a cycle")
-            nxt = min(ready)
-            out.append(nxt)
-            remaining.discard(nxt)
-        return tuple(out)
+        return _topological_order(self.rows)
 
     def pairs(self) -> list[tuple[str, str]]:
         """All related pairs (x, y) with x <= y, row-major."""
-        return [
-            (self.elements[i], self.elements[j])
-            for i in range(len(self.elements))
-            for j in range(len(self.elements))
-            if self.leq[i][j]
-        ]
+        els = self.elements
+        return [(els[i], els[j]) for i, row in enumerate(self.rows) for j in _bits(row)]
 
 
 @dataclass(frozen=True)
@@ -149,19 +126,7 @@ class HasseDiagram:
 
 
 def hasse(poset: Poset) -> HasseDiagram:
-    m = len(poset)
-    covers = []
-    for i in range(m):
-        for j in range(m):
-            if i == j or not poset.leq[i][j]:
-                continue
-            if any(
-                k != i and k != j and poset.leq[i][k] and poset.leq[k][j]
-                for k in range(m)
-            ):
-                continue
-            covers.append((i, j))
-    return HasseDiagram(poset, tuple(covers))
+    return HasseDiagram(poset, poset.covers)
 
 
 def hasse_quiver(poset: Poset, name: str = "H") -> Quiver:
@@ -254,10 +219,7 @@ class IncidenceAlgebra:
 
 
 def incidence_algebra(poset: Poset, field=QQ) -> IncidenceAlgebra:
-    m = len(poset)
-    basis = tuple(
-        (i, j) for i in range(m) for j in range(m) if poset.leq[i][j]
-    )
+    basis = tuple((i, j) for i, row in enumerate(poset.rows) for j in _bits(row))
     return IncidenceAlgebra(poset, basis, field)
 
 
@@ -326,13 +288,6 @@ def idempotence_check(poset: Poset) -> bool:
     """
     hq = hasse_quiver(poset)
     algebra = commuting_algebra(hq)
-    pattern_pairs = {
-        (v, w)
-        for v in poset.elements
-        for w in poset.elements
-        if algebra.hom_dimension(v, w)
-    }
-    leq_pairs = set(poset.pairs())
-    if pattern_pairs != leq_pairs:
+    if algebra.pattern.reordered(poset.elements).rows != poset.rows:
         return False
     return skeleton(hq).poset == poset

@@ -1,11 +1,15 @@
-"""Reachability structure of a quiver: components, closure, condensation."""
+"""Reachability structure of a quiver: components, closure, condensation.
+
+Every order in the package is stored as row bitsets (bit j of row i means
+i <= j) and handled by the private core at the top of this module.
+"""
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InternalInvariantError, QuiverError
 from .quiver import Quiver
@@ -21,6 +25,105 @@ __all__ = [
     "topological_component_order",
     "longest_chain",
 ]
+
+Rows = tuple[int, ...]
+
+
+def _rows(matrix: Sequence[Sequence[bool]], n: int, error: type, what: str) -> Rows:
+    """Row bitsets of an n x n bool matrix."""
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        raise error(f"{what} matrix is not {n}x{n}")
+    return tuple(sum(1 << j for j, b in enumerate(row) if b) for row in matrix)
+
+
+def _matrix(rows: Rows) -> tuple[tuple[bool, ...], ...]:
+    n = len(rows)
+    return tuple(tuple(c == "1" for c in reversed(format(r, f"0{n}b"))) for r in rows)
+
+
+def _bits(row: int) -> Iterator[int]:
+    """Indices of the set bits, ascending."""
+    while row:
+        low = row & -row
+        yield low.bit_length() - 1
+        row ^= low
+
+
+def _check_preorder(rows: Rows, error: type, what: str, antisymmetric: bool = False,
+                    names: Sequence[object] | None = None) -> None:
+    """Raise ``error`` unless reflexive, transitive and, if asked, antisymmetric."""
+    for i, row in enumerate(rows):
+        if not row >> i & 1:
+            raise error(f"{what} must be reflexive")
+        reach = 0
+        for j in _bits(row):
+            reach |= rows[j]
+            if antisymmetric and j != i and rows[j] >> i & 1:
+                a, b = (names[i], names[j]) if names is not None else (i, j)
+                raise error(f"{what} must be antisymmetric: {a!r} and {b!r} "
+                            "are comparable both ways")
+        if reach != row:
+            raise error(f"{what} must be transitive")
+
+
+def _closure(n: int, pairs: Iterable[tuple[int, int]]) -> Rows:
+    """Reflexive-transitive closure of index pairs on range(n) (Warshall)."""
+    rows = [1 << i for i in range(n)]
+    for i, j in pairs:
+        rows[i] |= 1 << j
+    for k in range(n):
+        bit, row_k = 1 << k, rows[k]
+        for i, row in enumerate(rows):
+            if row & bit:
+                rows[i] = row | row_k
+    return tuple(rows)
+
+
+def _block_values(rows: Sequence[int], masks: Sequence[int]) -> list[bool | None]:
+    """Per mask: True if every row contains it, False if none meets it, else None."""
+    differ = 0
+    for row in rows:
+        differ |= row ^ rows[0]
+    return [None if differ & m or (rows[0] & m) not in (0, m) else rows[0] & m == m
+            for m in masks]
+
+
+def _topological_order(rows: Rows) -> tuple[int, ...]:
+    """Kahn's sort of the strict relation, smallest ready index first."""
+    succ = [list(_bits(row & ~(1 << i))) for i, row in enumerate(rows)]
+    indegree = [0] * len(rows)
+    for j in (j for js in succ for j in js):
+        indegree[j] += 1
+    ready = [i for i, d in enumerate(indegree) if not d]  # sorted, so a heap
+    out: list[int] = []
+    while ready:
+        out.append(heapq.heappop(ready))
+        for j in succ[out[-1]]:
+            indegree[j] -= 1
+            if not indegree[j]:
+                heapq.heappush(ready, j)
+    if len(out) != len(rows):
+        raise InternalInvariantError("order relation has a cycle")
+    return tuple(out)
+
+
+def _longest_chain(rows: Rows) -> int:
+    """Most elements in a strictly increasing chain (0 when empty)."""
+    best = [0] * len(rows)
+    for i in reversed(_topological_order(rows)):
+        best[i] = 1 + max((best[j] for j in _bits(rows[i] & ~(1 << i))), default=0)
+    return max(best, default=0)
+
+
+def _covers(rows: Rows) -> tuple[tuple[int, int], ...]:
+    """Cover pairs (i, j), row-major: strict successors of i above no other one."""
+    out = []
+    for i, row in enumerate(rows):
+        strict, above = row & ~(1 << i), 0
+        for j in _bits(strict):
+            above |= rows[j] & ~(1 << j)
+        out.extend((i, j) for j in _bits(strict & ~above))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -63,19 +166,11 @@ class ReachabilityPattern:
     bits: tuple[tuple[bool, ...], ...]
 
     def __post_init__(self):
-        n = len(self.order)
-        if len(self.bits) != n or any(len(row) != n for row in self.bits):
-            raise InternalInvariantError("pattern shape does not match vertex order")
-        for i in range(n):
-            if not self.bits[i][i]:
-                raise InternalInvariantError("pattern must be reflexive")
-        for i in range(n):
-            for j in range(n):
-                if not self.bits[i][j]:
-                    continue
-                for k in range(n):
-                    if self.bits[j][k] and not self.bits[i][k]:
-                        raise InternalInvariantError("pattern must be transitive")
+        _check_preorder(self.rows, InternalInvariantError, "pattern")
+
+    @cached_property
+    def rows(self) -> Rows:
+        return _rows(self.bits, len(self.order), InternalInvariantError, "pattern")
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -101,7 +196,7 @@ class ReachabilityPattern:
         return tuple("".join("1" if b else "0" for b in row) for row in self.bits)
 
     def true_count(self) -> int:
-        return sum(sum(row) for row in self.bits)
+        return sum(row.bit_count() for row in self.rows)
 
 
 @dataclass(frozen=True)
@@ -111,23 +206,12 @@ class CondensationOrder:
     relation: tuple[tuple[bool, ...], ...]
 
     def __post_init__(self):
-        m = len(self.relation)
-        if any(len(row) != m for row in self.relation):
-            raise InternalInvariantError("condensation relation is not square")
-        for i in range(m):
-            if not self.relation[i][i]:
-                raise InternalInvariantError("condensation must be reflexive")
-            for j in range(m):
-                if i != j and self.relation[i][j] and self.relation[j][i]:
-                    raise InternalInvariantError(
-                        "condensation must be antisymmetric: distinct components "
-                        "reach each other"
-                    )
-                if not self.relation[i][j]:
-                    continue
-                for k in range(m):
-                    if self.relation[j][k] and not self.relation[i][k]:
-                        raise InternalInvariantError("condensation must be transitive")
+        _check_preorder(self.rows, InternalInvariantError, "condensation",
+                        antisymmetric=True)
+
+    @cached_property
+    def rows(self) -> Rows:
+        return _rows(self.relation, self.m, InternalInvariantError, "condensation")
 
     @property
     def m(self) -> int:
@@ -189,71 +273,41 @@ def path_components(quiver: Quiver) -> ComponentPartition:
 
 
 def reachability(quiver: Quiver) -> ReachabilityPattern:
-    """Reflexive-transitive closure of the arrow relation (Warshall)."""
-    n = quiver.n
+    """Pattern over the declaration order: v reaches w iff a path runs from v to w.
+
+    Every vertex reaches itself by its length-zero path.
+    """
     idx = quiver.vertex_index
-    bits = [[False] * n for _ in range(n)]
-    for i in range(n):
-        bits[i][i] = True
-    for a in quiver.arrows:
-        bits[idx[a.source]][idx[a.target]] = True
-    for k in range(n):
-        row_k = bits[k]
-        for i in range(n):
-            if bits[i][k]:
-                row_i = bits[i]
-                for j in range(n):
-                    if row_k[j]:
-                        row_i[j] = True
-    return ReachabilityPattern(quiver.vertices, tuple(tuple(row) for row in bits))
+    rows = _closure(
+        quiver.n, ((idx[a.source], idx[a.target]) for a in quiver.arrows)
+    )
+    return ReachabilityPattern(quiver.vertices, _matrix(rows))
 
 
 def condensation(
     partition: ComponentPartition, pattern: ReachabilityPattern
 ) -> CondensationOrder:
     """Component-level relation; every representative pair must agree."""
-    m = len(partition)
+    index = pattern.index
+    try:
+        masks = [sum(1 << index[v] for v in comp) for comp in partition.components]
+    except KeyError as exc:
+        raise QuiverError(f"unknown vertex {exc.args[0]!r}") from None
     relation = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            values = {
-                pattern.at(u, w)
-                for u in partition.components[i]
-                for w in partition.components[j]
-            }
-            if len(values) != 1:
-                raise InternalInvariantError(
-                    f"reachability between components {i} and {j} depends on "
-                    "the representative"
-                )
-            row.append(values.pop())
-        relation.append(tuple(row))
+    for i, comp in enumerate(partition.components):
+        related = _block_values([pattern.rows[index[u]] for u in comp], masks)
+        if None in related:
+            raise InternalInvariantError(
+                f"reachability between components {i} and {related.index(None)} "
+                "depends on the representative"
+            )
+        relation.append(tuple(related))
     return CondensationOrder(tuple(relation))
 
 
 def topological_component_order(cond: CondensationOrder) -> tuple[int, ...]:
     """Topological sort of the components, smallest-index tie-break (Kahn)."""
-    m = cond.m
-    indegree = [0] * m
-    for i in range(m):
-        for j in range(m):
-            if i != j and cond.relation[i][j]:
-                indegree[j] += 1
-    ready = [i for i in range(m) if indegree[i] == 0]
-    heapq.heapify(ready)
-    out: list[int] = []
-    while ready:
-        i = heapq.heappop(ready)
-        out.append(i)
-        for j in range(m):
-            if i != j and cond.relation[i][j]:
-                indegree[j] -= 1
-                if indegree[j] == 0:
-                    heapq.heappush(ready, j)
-    if len(out) != m:
-        raise InternalInvariantError("condensation relation has a cycle")
-    return tuple(out)
+    return _topological_order(cond.rows)
 
 
 def consistent_ordering(
@@ -275,21 +329,6 @@ def consistent_ordering(
     return tuple(order)
 
 
-def _longest_chain(relation: Sequence[Sequence[bool]]) -> int:
-    m = len(relation)
-    if m == 0:
-        return 0
-    best: dict[int, int] = {}
-
-    order = topological_component_order(CondensationOrder(
-        tuple(tuple(row) for row in relation)
-    ))
-    for i in reversed(order):
-        succ = [best[j] for j in range(m) if j != i and relation[i][j]]
-        best[i] = 1 + max(succ, default=0)
-    return max(best.values())
-
-
 def longest_chain(cond: CondensationOrder) -> int:
     """Largest number of elements in a strictly increasing chain (>= 1)."""
-    return _longest_chain(cond.relation)
+    return _longest_chain(cond.rows)

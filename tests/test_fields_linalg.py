@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -176,3 +177,35 @@ def test_from_columns_roundtrip():
     assert Mat.from_columns(m.columns(), 3) == m
     with pytest.raises(InternalInvariantError):
         Mat.from_columns([[1, 2]], 3)
+
+
+def test_parse_field_large_prime_is_fast():
+    start = time.perf_counter()
+    assert parse_field("fp:2305843009213693951").p == 2**61 - 1
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize(
+    "composite",
+    [0, 1, 561, 3215031751, 3825123056546413051, 318665857834031151167461, 2**61 + 1],
+)
+def test_parse_field_rejects_composites(composite):
+    # 561 is a Carmichael number; the next three are strong pseudoprimes to every
+    # prime base up to 7, 23 and 37 respectively
+    with pytest.raises(QuiverError):
+        parse_field(f"fp:{composite}")
+
+
+def test_parse_field_rejects_primes_beyond_the_exact_range():
+    with pytest.raises(QuiverError, match="too large"):
+        parse_field(f"fp:{2**127 - 1}")
+
+
+def test_primality_matches_trial_division_below_5000():
+    for p in range(2, 5000):
+        is_prime = all(p % d for d in range(2, int(p**0.5) + 1))
+        if is_prime:
+            assert PrimeField(p).p == p
+        else:
+            with pytest.raises(QuiverError):
+                PrimeField(p)
