@@ -10,6 +10,7 @@ algebra and verifies its block structure.
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,13 +20,7 @@ from typing import Mapping
 from .errors import InternalInvariantError, QuiverError
 from .fields import QQ
 from .quiver import Path, Quiver, compose
-from .structure import (
-    _block_values,
-    condensation,
-    path_components,
-    reachability,
-    topological_component_order,
-)
+from .structure import _block_values, _consistent_order, path_components, reachability
 
 __all__ = [
     "CoefficientFunction",
@@ -96,12 +91,8 @@ class CommutingAlgebra:
         self.field = field
         self.partition = path_components(quiver)
         base_pattern = reachability(quiver)
-        self.condensation = condensation(self.partition, base_pattern)
-        self.component_order = topological_component_order(self.condensation)
-        self.order = tuple(
-            v
-            for ci in self.component_order
-            for v in self.partition.components[ci]
+        self.condensation, self.component_order, self.order = _consistent_order(
+            self.partition, base_pattern
         )
         self.pattern = base_pattern.reordered(self.order)
         self.block_sizes = tuple(
@@ -141,6 +132,12 @@ class CommutingAlgebra:
                     raise InternalInvariantError(
                         f"blocks ({bi}, {bj}) and ({bj}, {bi}) are both nonzero"
                     )
+
+    def over(self, field) -> "CommutingAlgebra":
+        """The same algebra with scalars in ``field``; nothing is recomputed."""
+        out = copy.copy(self)
+        out.field = field
+        return out
 
     def position(self, v: str) -> int:
         try:

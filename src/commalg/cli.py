@@ -3,7 +3,8 @@
 Subcommands: parse, components, blockform, skeleton, incidence, gldim,
 verify, random.  Input is a DSL file or "-" for standard input.  Output is
 deterministic: the same invocation always produces identical bytes.
-Exit codes: 0 success, 1 validation failure, 2 internal invariant violation.
+Exit codes: 0 success, 1 validation failure, 2 internal invariant violation
+or a usage error.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .algebra import commuting_algebra
 from .dsl import parse_quiver, to_dsl
 from .errors import InternalInvariantError, QuiverError
 from .fields import parse_field
-from .homology import projective_dimension
+from .homology import global_dimension, projective_dimensions
 from .oracle import (
     DEFAULT_PATH_CAP,
     GeneralCoefficientTable,
@@ -32,6 +33,7 @@ from .poset import (
 )
 from .quiver import Quiver, to_dot
 from .randgen import random_quiver
+from .structure import consistent_ordering, path_components
 
 __all__ = ["main", "run"]
 
@@ -87,8 +89,6 @@ def _cmd_parse(args) -> str:
 
 
 def _cmd_components(args) -> str:
-    from .structure import consistent_ordering, path_components
-
     quiver = _load(args)
     partition = path_components(quiver)
     order = consistent_ordering(quiver, partition)
@@ -172,23 +172,19 @@ def _cmd_incidence(args) -> str:
 
 
 def _cmd_gldim(args) -> str:
-    quiver = _load(args)
-    skel = skeleton(quiver)
-    poset = skel.poset
-    dims = {x: projective_dimension(poset, x) for x in poset.elements}
-    global_dim = max(dims.values())
+    poset = skeleton(_load(args)).poset
+    dims = projective_dimensions(poset)
+    global_dim = max(dims)
     bound = poset.longest_chain()
     payload = {
         "elements": list(poset.elements),
-        "projective_dimensions": [dims[x] for x in poset.elements],
+        "projective_dimensions": list(dims),
         "global_dimension": global_dim,
         "chain_bound": bound,
         "bound": "PASS" if global_dim <= bound else "FAIL",
     }
     if args.format == "pretty":
-        lines = [
-            f"pd({x}) = {dims[x]}" for x in poset.elements
-        ]
+        lines = [f"pd({x}) = {d}" for x, d in zip(poset.elements, dims)]
         lines.append(f"global dimension: {global_dim}")
         lines.append(f"chain bound: {bound} -> {payload['bound']}")
         return "\n".join(lines) + "\n"
@@ -204,12 +200,12 @@ def _cmd_verify(args) -> tuple[str, bool]:
 
     checks: list[tuple[str, bool]] = []
 
-    algebra = commuting_algebra(quiver, field)  # block form verified on build
+    skel = skeleton(quiver)  # block form verified on the algebra's build
     checks.append(("block_form", True))
 
     reports = pattern_report(quiver, trunc, path_cap=args.path_cap, field=field)
     oracle_ok = all(
-        r.dimension == algebra.hom_dimension(r.source, r.target) for r in reports
+        r.dimension == skel.algebra.hom_dimension(r.source, r.target) for r in reports
     )
     checks.append(("oracle_equivalence", oracle_ok))
 
@@ -221,7 +217,6 @@ def _cmd_verify(args) -> tuple[str, bool]:
         )
     )
 
-    skel = skeleton(quiver)
     try:
         skeleton_iso_incidence(skel, field)
         checks.append(("skeleton_iso_incidence", True))
@@ -229,10 +224,7 @@ def _cmd_verify(args) -> tuple[str, bool]:
         checks.append(("skeleton_iso_incidence", False))
 
     checks.append(("idempotence", idempotence_check(skel.poset)))
-
-    from .homology import global_dimension
-
-    bound = skel.poset.longest_chain()
+    bound = skel.poset.longest_chain() - 1
     checks.append(("gldim_bound", global_dimension(skel.poset) <= bound))
 
     ok = all(passed for _, passed in checks)
@@ -273,43 +265,37 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_field=True):
+    def add_common(name, summary, func, formats, with_field=True, shorthand=None):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
         p.add_argument("input", nargs="?", default="-", help="DSL file or - for stdin")
         if with_field:
             p.add_argument("--field", default="rat", help="rat or fp:<p>")
-        p.add_argument(
-            "--format", choices=["json", "pretty", "dot"], default="json"
-        )
+        p.add_argument("--format", choices=formats, default="json")
+        if shorthand is not None:
+            p.add_argument(f"--{shorthand}", dest="format", action="store_const",
+                           const=shorthand, help=f"shorthand for --format {shorthand}")
         p.add_argument("--out", default=None, help="write output to a file")
+        return p
 
-    p = sub.add_parser("parse", help="validate and echo a quiver")
-    add_common(p, with_field=False)
-
-    p = sub.add_parser("components", help="path components and consistent order")
-    add_common(p, with_field=False)
-
-    p = sub.add_parser("blockform", help="pattern, block sizes, dimension")
-    add_common(p)
-    p.add_argument(
-        "--pretty", action="store_true", help="shorthand for --format pretty"
-    )
-
-    p = sub.add_parser("skeleton", help="skeleton poset and Hasse diagram")
-    add_common(p)
-    p.add_argument("--dot", action="store_true", help="shorthand for --format dot")
-
-    p = sub.add_parser("incidence", help="incidence algebra of the skeleton poset")
-    add_common(p)
-
-    p = sub.add_parser("gldim", help="global dimension of the skeleton poset")
-    add_common(p)
-
-    p = sub.add_parser("verify", help="run the invariant suite")
-    add_common(p)
+    add_common("parse", "validate and echo a quiver", _cmd_parse,
+               ["json", "pretty", "dot"], with_field=False)
+    add_common("components", "path components and consistent order", _cmd_components,
+               ["json", "pretty"], with_field=False)
+    add_common("blockform", "pattern, block sizes, dimension", _cmd_blockform,
+               ["json", "pretty"], shorthand="pretty")
+    add_common("skeleton", "skeleton poset and Hasse diagram", _cmd_skeleton,
+               ["json", "pretty", "dot"], shorthand="dot")
+    add_common("incidence", "incidence algebra of the skeleton poset", _cmd_incidence,
+               ["json"])
+    add_common("gldim", "global dimension of the skeleton poset", _cmd_gldim,
+               ["json", "pretty"])
+    p = add_common("verify", "run the invariant suite", _cmd_verify, ["json", "pretty"])
     p.add_argument("--trunc", type=int, default=None, help="truncation length")
     p.add_argument("--path-cap", type=int, default=DEFAULT_PATH_CAP)
 
     p = sub.add_parser("random", help="emit a random quiver as DSL")
+    p.set_defaults(func=_cmd_random)
     p.add_argument("--vertices", type=int, required=True)
     p.add_argument("--arrows", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -320,32 +306,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if getattr(args, "pretty", False):
-        args.format = "pretty"
-    if getattr(args, "dot", False):
-        args.format = "dot"
     try:
-        if args.command == "parse":
-            _emit(_cmd_parse(args), args.out)
-        elif args.command == "components":
-            _emit(_cmd_components(args), args.out)
-        elif args.command == "blockform":
-            _emit(_cmd_blockform(args), args.out)
-        elif args.command == "skeleton":
-            _emit(_cmd_skeleton(args), args.out)
-        elif args.command == "incidence":
-            _emit(_cmd_incidence(args), args.out)
-        elif args.command == "gldim":
-            _emit(_cmd_gldim(args), args.out)
-        elif args.command == "verify":
-            text, ok = _cmd_verify(args)
-            _emit(text, args.out)
-            if not ok:
-                return 1
-        elif args.command == "random":
-            _emit(_cmd_random(args), args.out)
-        else:  # pragma: no cover
-            raise QuiverError(f"unknown command {args.command!r}")
+        result = args.func(args)  # verify also says whether every check passed
+        text, ok = result if isinstance(result, tuple) else (result, True)
+        _emit(text, args.out)
     except QuiverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -355,7 +319,7 @@ def run(argv: list[str] | None = None) -> int:
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
-    return 0
+    return 0 if ok else 1
 
 
 def main() -> int:

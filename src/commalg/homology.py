@@ -4,8 +4,9 @@ A representation of a finite poset assigns a rational vector space to each
 element and a map along each cover, with composites independent of the
 route (checked at construction).  Simples are resolved by iterated minimal
 projective covers; the number of steps is bounded by the longest chain of
-the poset, and the resulting projective dimensions bound the global
-dimension.  All linear algebra is exact over the rationals.
+the poset, so no projective dimension, and hence not the global
+dimension, exceeds the number of elements in that chain minus one.  All
+linear algebra is exact over the rationals.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "projective_cover",
     "minimal_resolution",
     "projective_dimension",
+    "projective_dimensions",
     "global_dimension",
 ]
 
@@ -317,7 +319,7 @@ def minimal_resolution(poset: Poset, x: str) -> Resolution:
     bound means the construction itself is broken.
     """
     target = simple(poset, x)
-    bound = poset.longest_chain() + 1
+    bound = poset.longest_chain()
     covers: list[PosetRepresentation] = []
     multisets = []
     maps: list[RepMorphism] = []
@@ -344,12 +346,20 @@ def projective_dimension(poset: Poset, x: str) -> int:
     return minimal_resolution(poset, x).length
 
 
-def global_dimension(poset: Poset) -> int:
-    """Max projective dimension of the simples; bounded by the longest chain."""
-    out = max(projective_dimension(poset, x) for x in poset.elements)
-    bound = poset.longest_chain()
-    if out > bound:
+def projective_dimensions(poset: Poset) -> tuple[int, ...]:
+    """Projective dimension of each element's simple, in element order.
+
+    None may exceed the longest chain's element count minus one.
+    """
+    out = tuple(projective_dimension(poset, x) for x in poset.elements)
+    bound = poset.longest_chain() - 1
+    if out and max(out) > bound:
         raise InternalInvariantError(
-            f"global dimension {out} exceeds the chain bound {bound}"
+            f"global dimension {max(out)} exceeds the chain bound {bound}"
         )
     return out
+
+
+def global_dimension(poset: Poset) -> int:
+    """Max projective dimension of the simples; see ``projective_dimensions``."""
+    return max(projective_dimensions(poset))

@@ -8,6 +8,7 @@ commuting algebra, and the two are compared unit by unit here.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -29,9 +30,6 @@ from .structure import (
     _matrix,
     _rows,
     _topological_order,
-    condensation,
-    path_components,
-    reachability,
 )
 
 __all__ = [
@@ -101,6 +99,10 @@ class Poset:
 
     def longest_chain(self) -> int:
         """Largest number of elements in a strictly increasing chain."""
+        return self._chain
+
+    @cached_property
+    def _chain(self) -> int:
         return _longest_chain(self.rows)
 
     def linear_extension(self) -> tuple[int, ...]:
@@ -145,14 +147,22 @@ class Skeleton:
 
     Poset elements are named canonically by the smallest-index vertex of
     each component, so the poset itself never depends on which
-    representatives were chosen.
+    representatives were chosen.  The poset is read off the commuting
+    algebra the skeleton carries: it is the algebra's condensation order.
     """
 
     quiver: Quiver
     poset: Poset
     representatives: tuple[str, ...]
-    partition: ComponentPartition
-    pattern: ReachabilityPattern
+    algebra: CommutingAlgebra = dataclasses.field(compare=False, repr=False)
+
+    @property
+    def partition(self) -> ComponentPartition:
+        return self.algebra.partition
+
+    @property
+    def pattern(self) -> ReachabilityPattern:
+        return self.algebra.pattern
 
     def __len__(self) -> int:
         return len(self.poset)
@@ -160,9 +170,14 @@ class Skeleton:
 
 def skeleton(quiver: Quiver, representatives: Sequence[str] | None = None) -> Skeleton:
     """Collapse each path component to a representative; order by reachability."""
-    partition = path_components(quiver)
-    pattern = reachability(quiver)
-    cond = condensation(partition, pattern)
+    return _skeleton(commuting_algebra(quiver), representatives)
+
+
+def _skeleton(
+    algebra: CommutingAlgebra, representatives: Sequence[str] | None = None
+) -> Skeleton:
+    """The skeleton of an already built commuting algebra's quiver."""
+    partition = algebra.partition
     canonical = tuple(comp[0] for comp in partition.components)
     if representatives is None:
         representatives = canonical
@@ -177,8 +192,8 @@ def skeleton(quiver: Quiver, representatives: Sequence[str] | None = None) -> Sk
                 raise QuiverError(
                     f"representative {rep!r} is not in component {ci}"
                 )
-    poset = Poset(canonical, cond.relation)
-    return Skeleton(quiver, poset, representatives, partition, pattern)
+    poset = Poset(canonical, algebra.condensation.relation)
+    return Skeleton(algebra.quiver, poset, representatives, algebra)
 
 
 @dataclass(frozen=True)
@@ -241,7 +256,7 @@ class SkeletonIsomorphism:
 
 def skeleton_iso_incidence(skel: Skeleton, field=QQ) -> SkeletonIsomorphism:
     """Map basis pairs to representative matrix units and verify all products."""
-    algebra = commuting_algebra(skel.quiver, field)
+    algebra = skel.algebra.over(field)
     inc = incidence_algebra(skel.poset, field)
     units = {}
     assignment = []
@@ -290,4 +305,4 @@ def idempotence_check(poset: Poset) -> bool:
     algebra = commuting_algebra(hq)
     if algebra.pattern.reordered(poset.elements).rows != poset.rows:
         return False
-    return skeleton(hq).poset == poset
+    return _skeleton(algebra).poset == poset

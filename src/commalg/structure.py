@@ -322,11 +322,17 @@ def consistent_ordering(
     """
     if pattern is None:
         pattern = reachability(quiver)
+    return _consistent_order(partition, pattern)[2]
+
+
+def _consistent_order(
+    partition: ComponentPartition, pattern: ReachabilityPattern
+) -> tuple[CondensationOrder, tuple[int, ...], tuple[str, ...]]:
+    """The condensation, its component order and the vertex order they give."""
     cond = condensation(partition, pattern)
-    order: list[str] = []
-    for ci in topological_component_order(cond):
-        order.extend(partition.components[ci])
-    return tuple(order)
+    component_order = topological_component_order(cond)
+    order = tuple(v for ci in component_order for v in partition.components[ci])
+    return cond, component_order, order
 
 
 def longest_chain(cond: CondensationOrder) -> int:

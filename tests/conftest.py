@@ -1,4 +1,12 @@
+import os
+from pathlib import Path
+
 import pytest
+
+# tests that start ``python -m commalg`` import the package from this checkout
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")])
+)
 
 from commalg.examples import (
     kronecker_quiver,

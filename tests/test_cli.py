@@ -274,3 +274,73 @@ def test_verify_cycle(capsys, tmp_path):
     code, out, _ = run_cli(["verify", "--trunc", "8", str(path)], capsys)
     assert code == 0
     assert json.loads(out)["overall"] == "PASS"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["blockform", "--format", "dot"],
+        ["components", "--format", "dot"],
+        ["gldim", "--format", "dot"],
+        ["verify", "--format", "dot"],
+        ["incidence", "--format", "pretty"],
+        ["incidence", "--format", "dot"],
+    ],
+)
+def test_unrendered_format_is_a_usage_error(argv, two_block_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + [two_block_file])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, shorthand, fmt",
+    [("blockform", "--pretty", "pretty"), ("skeleton", "--dot", "dot")],
+)
+def test_format_shorthands(command, shorthand, fmt, two_block_file, capsys):
+    assert run_cli([command, shorthand, two_block_file], capsys) == run_cli(
+        [command, "--format", fmt, two_block_file], capsys
+    )
+
+
+def _count_stages(monkeypatch, argv, capsys):
+    """Run the CLI; count commuting-algebra builds and longest-chain passes."""
+    import commalg.poset
+    import commalg.structure
+    from commalg.algebra import CommutingAlgebra
+
+    counts = {"builds": 0, "chains": 0}
+    init, chain = CommutingAlgebra.__init__, commalg.structure._longest_chain
+
+    def counted_init(self, *args, **kwargs):
+        counts["builds"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_chain(rows):
+        counts["chains"] += 1
+        return chain(rows)
+
+    monkeypatch.setattr(CommutingAlgebra, "__init__", counted_init)
+    for module in (commalg.poset, commalg.structure):
+        monkeypatch.setattr(module, "_longest_chain", counted_chain)
+    code, _, _ = run_cli(argv, capsys)
+    assert code == 0
+    return counts
+
+
+def test_verify_builds_each_stage_once(monkeypatch, two_block_file, capsys):
+    # the quiver's algebra, then its skeleton's Hasse quiver for idempotence
+    counts = _count_stages(monkeypatch, ["verify", two_block_file], capsys)
+    assert counts == {"builds": 2, "chains": 1}
+
+
+def test_gldim_builds_each_stage_once(monkeypatch, tmp_path, capsys):
+    from commalg.dsl import to_dsl
+    from commalg.poset import hasse_quiver
+    from commalg.randgen import random_poset
+
+    path = tmp_path / "poset.quiver"
+    path.write_text(to_dsl(hasse_quiver(random_poset(16, 16016, 0.3))))
+    counts = _count_stages(monkeypatch, ["gldim", str(path)], capsys)
+    assert counts == {"builds": 1, "chains": 1}

@@ -210,3 +210,25 @@ def test_resolution_verify_catches_tampering():
                         tuple(bad_maps[:-1]) + (tampered,))
     with pytest.raises(InternalInvariantError):
         broken.verify()
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_global_dimension_below_chain_length(seed):
+    from commalg.homology import projective_dimensions
+
+    # gldim <= (elements in the longest chain) - 1, tight on the diamond
+    assert global_dimension(diamond()) == diamond().longest_chain() - 1 == 2
+    rng = random.Random(1000 + seed)
+    p = random_poset(rng.randint(1, 9), rng)
+    dims = projective_dimensions(p)
+    assert len(dims) == len(p)
+    assert global_dimension(p) == max(dims) <= p.longest_chain() - 1
+
+
+def test_chain_bound_check_is_tight(monkeypatch):
+    import commalg.homology as homology
+
+    p = diamond()
+    monkeypatch.setattr(homology, "projective_dimension", lambda poset, x: 3 * (x == "a"))
+    with pytest.raises(InternalInvariantError, match="exceeds the chain bound 2"):
+        global_dimension(p)
