@@ -11,6 +11,7 @@ linear algebra is exact over the rationals.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -18,7 +19,7 @@ from typing import Mapping
 from .errors import InternalInvariantError, QuiverError
 from .fields import QQ
 from .linalg import Mat
-from .poset import Poset, hasse
+from .poset import Poset
 
 __all__ = [
     "PosetRepresentation",
@@ -47,7 +48,7 @@ class PosetRepresentation:
         m = len(self.poset)
         if len(self.dims) != m or any(d < 0 for d in self.dims):
             raise QuiverError("dims must give one nonnegative size per element")
-        covers = set(hasse(self.poset).covers)
+        covers = set(self.poset.covers)
         if set(self.maps) != covers:
             raise QuiverError("maps must be keyed by exactly the cover pairs")
         for (i, j), mat in self.maps.items():
@@ -160,16 +161,27 @@ class RepMorphism:
         return RepMorphism(inner.source, self.target, blocks)
 
 
+def _projective_sum(poset: Poset, tops: list[int]) -> PosetRepresentation:
+    """Direct sum of the projectives at the element indices ``tops``.
+
+    Repeats are allowed; each cover map is the 0/1 inclusion of summands.
+    """
+    leq = poset.leq
+    at = [[k for k, x in enumerate(tops) if leq[x][y]] for y in range(len(poset))]
+    maps = {}
+    for (i, j) in poset.covers:
+        mat = Mat(len(at[j]), len(at[i]))
+        for col, k in enumerate(at[i]):
+            mat.rows[at[j].index(k)][col] = QQ.one
+        maps[(i, j)] = mat
+    return PosetRepresentation(poset, tuple(len(a) for a in at), maps)
+
+
 def projective(poset: Poset, x: str) -> PosetRepresentation:
     """The projective at x: one dimension on every y >= x, identity maps."""
-    xi = poset.index[x] if x in poset.index else None
-    if xi is None:
+    if x not in poset.index:
         raise QuiverError(f"unknown element {x!r}")
-    dims = tuple(1 if poset.leq[xi][j] else 0 for j in range(len(poset)))
-    maps = {}
-    for (i, j) in hasse(poset).covers:
-        maps[(i, j)] = Mat(dims[j], dims[i], [[1]] if dims[i] and dims[j] else None)
-    return PosetRepresentation(poset, dims, maps)
+    return _projective_sum(poset, [poset.index[x]])
 
 
 def simple(poset: Poset, x: str) -> PosetRepresentation:
@@ -178,9 +190,7 @@ def simple(poset: Poset, x: str) -> PosetRepresentation:
         raise QuiverError(f"unknown element {x!r}")
     xi = poset.index[x]
     dims = tuple(1 if j == xi else 0 for j in range(len(poset)))
-    maps = {
-        (i, j): Mat(dims[j], dims[i]) for (i, j) in hasse(poset).covers
-    }
+    maps = {(i, j): Mat(dims[j], dims[i]) for (i, j) in poset.covers}
     return PosetRepresentation(poset, dims, maps)
 
 
@@ -197,66 +207,36 @@ def projective_cover(rep: PosetRepresentation) -> ProjectiveCover:
     """Minimal projective cover of a nonzero representation.
 
     The multiplicity of the projective at x is the dimension of the top
-    (the quotient by the radical) at x; generators are lifted to the module
-    and propagated along the composite maps.
+    (the quotient by the radical) at x; each chosen basis vector of the top
+    is a generator, and its image at y >= x is a column of the composite.
     """
     if rep.is_zero():
         raise QuiverError("the zero representation has no projective cover")
     poset = rep.poset
-    m = len(poset)
-    # one summand per chosen lift: (element index, lift column in rep at it)
-    summands: list[tuple[int, list]] = []
-    counts: dict[int, int] = {}
-    for x in range(m):
-        if rep.dims[x] == 0:
+    # one summand per generator: (element index, basis index at it)
+    summands: list[tuple[int, int]] = []
+    for x, d in enumerate(rep.dims):
+        if d == 0:
             continue
         rad = rep.radical_generators(x)
-        chosen: list[list] = []
-        rank = rad.rank()
-        if rank == rep.dims[x]:
+        if rad.rank() == d:
             continue
-        for c in range(rep.dims[x]):
-            unit = [QQ.zero] * rep.dims[x]
-            unit[c] = QQ.one
-            trial = rad.hstack(Mat.from_columns(chosen + [unit], rep.dims[x]))
-            if trial.rank() > rank + len(chosen):
-                chosen.append(unit)
-                if rank + len(chosen) == rep.dims[x]:
-                    break
-        counts[x] = len(chosen)
-        for col in chosen:
-            summands.append((x, col))
-
-    dims = tuple(
-        sum(1 for (x, _) in summands if poset.leq[x][y]) for y in range(m)
+        # e_c is chosen iff it lies outside span(radical, e_0 .. e_{c-1})
+        _, pivots = rad.hstack(Mat.identity(d)).rref()
+        summands += [(x, c - rad.ncols) for c in pivots if c >= rad.ncols]
+    cover_rep = _projective_sum(poset, [x for x, _ in summands])
+    blocks = tuple(
+        Mat.from_columns(
+            [rep.composite(x, y).column(c) for x, c in summands if poset.leq[x][y]],
+            rep.dims[y],
+        )
+        for y in range(len(poset))
     )
-    covers = hasse(poset).covers
-    maps = {}
-    for (i, j) in covers:
-        at_i = [idx for idx, (x, _) in enumerate(summands) if poset.leq[x][i]]
-        at_j = [idx for idx, (x, _) in enumerate(summands) if poset.leq[x][j]]
-        mat = Mat(dims[j], dims[i])
-        for col, idx in enumerate(at_i):
-            mat.rows[at_j.index(idx)][col] = QQ.one
-        maps[(i, j)] = mat
-    cover_rep = PosetRepresentation(poset, dims, maps)
-
-    blocks = []
-    for y in range(m):
-        cols = []
-        for (x, lift) in summands:
-            if not poset.leq[x][y]:
-                continue
-            image = rep.composite(x, y) @ Mat.from_columns([lift], rep.dims[x])
-            cols.append(image.column(0))
-        blocks.append(Mat.from_columns(cols, rep.dims[y]))
-    surj = RepMorphism(cover_rep, rep, tuple(blocks))
+    surj = RepMorphism(cover_rep, rep, blocks)
     if not surj.is_surjective():
         raise InternalInvariantError("projective cover fails to surject")
-    multiset = tuple(
-        (poset.elements[x], counts[x]) for x in sorted(counts) if counts[x]
-    )
-    return ProjectiveCover(multiset, cover_rep, surj)
+    counts = Counter(poset.elements[x] for x, _ in summands)
+    return ProjectiveCover(tuple(counts.items()), cover_rep, surj)
 
 
 @dataclass(frozen=True)

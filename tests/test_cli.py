@@ -344,3 +344,33 @@ def test_gldim_builds_each_stage_once(monkeypatch, tmp_path, capsys):
     path.write_text(to_dsl(hasse_quiver(random_poset(16, 16016, 0.3))))
     counts = _count_stages(monkeypatch, ["gldim", str(path)], capsys)
     assert counts == {"builds": 1, "chains": 1}
+
+
+def test_verify_reads_vertex_nondegeneracy_off_the_report(
+    monkeypatch, two_block_file, capsys
+):
+    # one oracle call per ordered vertex pair, none repeated for the diagonal
+    import commalg.oracle
+
+    calls = []
+    original = commalg.oracle.truncated_hom_dimension
+
+    def counted(*args, **kwargs):
+        calls.append(args[2:4])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(commalg.oracle, "truncated_hom_dimension", counted)
+    code, out, _ = run_cli(["verify", two_block_file], capsys)
+    assert code == 0
+    assert len(calls) == len(set(calls)) == 36
+    properties = {p["name"]: p["pass"] for p in json.loads(out)["properties"]}
+    assert properties["vertex_nondegeneracy"] is True
+
+
+@pytest.mark.parametrize("command", ["gldim", "skeleton"])
+def test_field_is_rejected_where_output_ignores_it(command, two_block_file, capsys):
+    # gldim is computed over QQ only, and the skeleton does not depend on the field
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--field", "fp:2", two_block_file])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --field" in capsys.readouterr().err

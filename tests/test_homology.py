@@ -232,3 +232,34 @@ def test_chain_bound_check_is_tight(monkeypatch):
     monkeypatch.setattr(homology, "projective_dimension", lambda poset, x: 3 * (x == "a"))
     with pytest.raises(InternalInvariantError, match="exceeds the chain bound 2"):
         global_dimension(p)
+
+
+def test_projective_cover_with_multiplicity():
+    # x0 carries a two-dimensional top; both basis vectors map onto x1
+    p = chain(2)
+    rep = PosetRepresentation(p, (2, 1), {(0, 1): Mat(1, 2, [[1, 1]])})
+    cover = projective_cover(rep)
+    assert cover.multiset == (("x0", 2),)
+    assert cover.module.dims == (2, 2)
+    assert cover.module.maps[(0, 1)] == Mat.identity(2)
+    assert [b.rows for b in cover.surjection.blocks] == [[[1, 0], [0, 1]], [[1, 1]]]
+    kernel, _ = cover.surjection.kernel()
+    assert kernel.dims == (0, 1)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_cover_multiplicities_are_top_dimensions(seed):
+    # the multiplicity of P_x in each step is dim(top at x) of the module it covers
+    rng = random.Random(2000 + seed)
+    p = random_poset(rng.randint(1, 9), rng)
+    for x in p.elements:
+        res = minimal_resolution(p, x)
+        covered = res.module
+        for k, multiset in enumerate(res.multisets):
+            if k:
+                covered, _ = res.maps[k - 1].kernel()
+            tops = [
+                (p.elements[y], d - covered.radical_generators(y).rank())
+                for y, d in enumerate(covered.dims)
+            ]
+            assert multiset == tuple((y, n) for y, n in tops if n)
