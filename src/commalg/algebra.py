@@ -62,8 +62,11 @@ class CoefficientFunction:
 
     def value(self, path: Path) -> Fraction:
         out = Fraction(1)
+        weights = self.weights
         for name in path.arrows:
-            out *= self.weights.get(name, Fraction(1))
+            weight = weights.get(name)  # an absent weight is 1
+            if weight is not None:
+                out *= weight
         return out
 
     @property

@@ -11,14 +11,22 @@ Every relation generator touches at most two coordinates, so the rank is
 computed by sparse elimination specialized to two-term relations: a
 union-find tracking the ratio between each coordinate and its class root.
 A cycle whose accumulated ratio disagrees forces the whole class to zero.
+
+A tabulated (non-multiplicative) table reaches every relation through
+heads x middles x tails walk lists, and the same lists and coefficients
+recur for every vertex pair of a report.  Each ``GeneralCoefficientTable``
+therefore memoizes them: walk lists as ``(arrows, length)`` pairs keyed by
+``(start, end, truncation, path_cap)``, and coefficients in the working
+field keyed by ``(field, start, arrows)``.  Only successes are stored, so a
+path-cap overflow or a coefficient that vanishes in the field raises again
+on every call.  Reuse one table across calls, as ``pattern_report`` does.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from itertools import combinations
 from typing import Mapping
 
 from .algebra import CoefficientFunction
@@ -52,6 +60,10 @@ class GeneralCoefficientTable:
     quiver: Quiver
     base: CoefficientFunction
     exceptions: Mapping[Path, Fraction]
+    # walk lists and field coefficients of the tabulated oracle branch
+    _memo: dict = dataclass_field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         cleaned = {}
@@ -182,7 +194,6 @@ def truncated_hom_dimension(
     if truncation < 0:
         raise QuiverError("truncation must be nonnegative")
     paths = enumerate_paths(quiver, source, target, truncation, cap=path_cap)
-    index = {p: k for k, p in enumerate(paths)}
     solver = _TwoTermRank(len(paths), field)
 
     def coeff(path: Path):
@@ -198,44 +209,80 @@ def truncated_hom_dimension(
     if table.is_multiplicative:
         # r (f(p) p - f(q) q) s is a scalar multiple of the plain difference
         # f(rps) rps - f(rqs) rqs, so padding never adds new relations
-        first = paths[0] if paths else None
-        for other in paths[1:]:
-            solver.relate(index[first], index[other], coeff(first), coeff(other))
+        if len(paths) > 1:
+            first = coeff(paths[0])
+            for k in range(1, len(paths)):
+                solver.relate(0, k, first, coeff(paths[k]))
     else:
+        memo = table._memo
+
+        def walks(a: str, b: str) -> list[tuple[tuple[str, ...], int]]:
+            key = (a, b, truncation, path_cap)
+            found = memo.get(key)
+            if found is None:
+                found = [
+                    (p.arrows, len(p.arrows))
+                    for p in enumerate_paths(quiver, a, b, truncation, cap=path_cap)
+                ]
+                memo[key] = found
+            return found
+
+        def memo_coeff(a: str, arrows: tuple[str, ...], b: str):
+            # the start vertex tells apart the trivial paths, whose arrows are ()
+            key = (field, a, arrows)
+            found = memo.get(key)
+            if found is None:
+                found = memo[key] = coeff(Path(a, arrows, b))
+            return found
+
+        index = {p.arrows: k for k, p in enumerate(paths)}
         seen: set[tuple[int, int, object]] = set()
         for a in quiver.vertices:
-            heads = enumerate_paths(quiver, source, a, truncation, cap=path_cap)
+            heads = walks(source, a)
             if not heads:
                 continue
             for b in quiver.vertices:
-                middles = enumerate_paths(quiver, a, b, truncation, cap=path_cap)
+                middles = walks(a, b)
                 if len(middles) < 2:
                     continue
-                tails = enumerate_paths(quiver, b, target, truncation, cap=path_cap)
+                tails = walks(b, target)
                 if not tails:
                     continue
-                for p, q in combinations(middles, 2):
-                    budget = truncation - max(len(p), len(q))
-                    if budget < 0:
-                        continue
-                    fp = coeff(p)
-                    fq = coeff(q)
-                    for r in heads:
-                        if len(r) > budget:
-                            continue
-                        for s in tails:
-                            if len(r) + len(s) > budget:
-                                continue
-                            i = index[Path(source, r.arrows + p.arrows + s.arrows, target)]
-                            j = index[Path(source, r.arrows + q.arrows + s.arrows, target)]
-                            if i > j:
-                                key = (j, i, fp / fq)
-                            else:
-                                key = (i, j, fq / fp)
-                            if key in seen:
-                                continue
-                            seen.add(key)
-                            solver.relate(i, j, fp, fq)
+                middles = [
+                    (arrows, length, memo_coeff(a, arrows, b))
+                    for arrows, length in middles
+                ]
+                # walk lists are ordered by length: q is never shorter than p,
+                # and the first walk too long for the budget ends its loop
+                shortest = heads[0][1] + tails[0][1]
+                for k, (pa, _, fp) in enumerate(middles):
+                    for qa, lq, fq in middles[k + 1:]:
+                        budget = truncation - lq
+                        if budget < shortest:
+                            break
+                        forward = backward = None  # fq / fp and fp / fq, on demand
+                        for ra, lr in heads:
+                            room = budget - lr
+                            if room < 0:
+                                break
+                            rp, rq = ra + pa, ra + qa
+                            for sa, ls in tails:
+                                if ls > room:
+                                    break
+                                i = index[rp + sa]
+                                j = index[rq + sa]
+                                if i > j:
+                                    if backward is None:
+                                        backward = fp / fq
+                                    key = (j, i, backward)
+                                else:
+                                    if forward is None:
+                                        forward = fq / fp
+                                    key = (i, j, forward)
+                                if key in seen:
+                                    continue
+                                seen.add(key)
+                                solver.relate(i, j, fp, fq)
 
     rank = solver.rank()
     dimension = len(paths) - rank

@@ -187,6 +187,35 @@ def test_coefficient_from_quiver(two_block):
     assert f.value(q.path("v1", ["a1"])) == Fraction(2, 3)
 
 
+def test_coefficient_value_is_product_of_weights():
+    rng = random.Random(11)
+    checked = 0
+    while checked < 200:
+        q = random_quiver(rng.randint(1, 5), rng.randint(1, 8), rng)
+        full = random_weights(q, rng)
+        partial = CoefficientFunction({
+            name: weight for name, weight in full.weights.items()
+            if rng.random() < 0.5
+        })
+        start = at = rng.choice(q.vertices)
+        names = []
+        for _ in range(rng.randint(0, 6)):
+            out = q.arrows_from[at]
+            if not out:
+                break
+            arrow = rng.choice(out)
+            names.append(arrow.name)
+            at = arrow.target
+        path = q.path(start, names)
+        for f in (full, partial, CoefficientFunction.trivial()):
+            expected = Fraction(1)
+            for name in path.arrows:
+                expected *= f.weights.get(name, 1)
+            assert f.value(path) == expected
+            assert type(f.value(path)) is Fraction
+        checked += 1
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_quasi_structure_constant_is_one(seed):
     rng = random.Random(seed)

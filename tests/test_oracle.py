@@ -297,3 +297,98 @@ def test_weights_that_vanish_mod_p_are_rejected():
     # 5 is nonzero over the rationals but dies mod 5
     with pytest.raises(QuiverError):
         truncated_hom_dimension(q, table, "v", "w", 1, field=PrimeField(5))
+
+
+def _tabulated_table(q, rng, truncation):
+    """A table with a few random exceptions among the paths up to ``truncation``."""
+    nontrivial = [
+        p
+        for v in q.vertices
+        for w in q.vertices
+        for p in enumerate_paths(q, v, w, truncation, cap=100_000)
+        if len(p) >= 1
+    ]
+    exceptions = {
+        p: Fraction(rng.choice([2, 3, -1, 5, Fraction(1, 2)]))
+        for p in rng.sample(nontrivial, min(5, len(nontrivial)))
+    }
+    return GeneralCoefficientTable(q, random_weights(q, rng), exceptions)
+
+
+def test_shared_table_reports_agree_with_dense_elimination():
+    for seed in range(30):
+        rng = random.Random(1000 + seed)
+        n = rng.choice([5, 6])
+        q = random_sparse_quiver(n, rng.randint(n - 1, n + 1), rng)
+        table = _tabulated_table(q, rng, 2)
+        assert not table.is_multiplicative
+        # one table for every pair and every truncation, so later calls
+        # read walk lists and coefficients that earlier ones stored
+        for truncation in (3, 4, 5):
+            for report in pattern_report(q, truncation, table):
+                dense = _dense_relation_rank(
+                    q, table, report.source, report.target, truncation
+                )
+                assert report.relation_rank == dense
+                assert report.dimension == report.path_count - dense
+
+
+def test_reused_table_matches_fresh_tables():
+    rng = random.Random(7)
+    q = random_sparse_quiver(6, 10, rng)
+    shared = _tabulated_table(q, rng, 2)
+    for truncation in (2, 4, 2):
+        fresh = GeneralCoefficientTable(q, shared.base, shared.exceptions)
+        assert pattern_report(q, truncation, shared) == pattern_report(
+            q, truncation, fresh
+        )
+
+
+def _overflow_message(q, table, path_cap):
+    with pytest.raises(TruncationOverflowError) as caught:
+        truncated_hom_dimension(q, table, "s", "v", 6, path_cap=path_cap)
+    return str(caught.value)
+
+
+def test_memo_never_hides_a_path_cap_overflow():
+    # s -> v has 63 paths up to length 6, but the middles v -> v number 127
+    q = Quiver(["s", "v"], [("c", "s", "v"), ("a", "v", "v"), ("b", "v", "v")])
+    exceptions = {q.path("s", ["c"]): Fraction(2)}
+    table = GeneralCoefficientTable(q, CoefficientFunction.trivial(), exceptions)
+    truncated_hom_dimension(q, table, "s", "v", 6, path_cap=10**6)
+    fresh = GeneralCoefficientTable(q, CoefficientFunction.trivial(), exceptions)
+    expected = _overflow_message(q, fresh, 100)
+    assert expected.startswith("path count from 'v' to 'v' exceeds cap 100")
+    assert _overflow_message(q, table, 100) == expected
+    assert _overflow_message(q, table, 100) == expected
+
+
+def test_memo_never_hides_a_coefficient_vanishing_in_the_field():
+    q = two_routes()
+    table = GeneralCoefficientTable(
+        q, CoefficientFunction.trivial(), {q.path("v", ["a"]): Fraction(5)}
+    )
+    assert truncated_hom_dimension(q, table, "v", "x", 2).path_count == 2
+    for _ in range(2):
+        with pytest.raises(QuiverError, match="vanishes in F5"):
+            truncated_hom_dimension(q, table, "v", "x", 2, field=PrimeField(5))
+
+
+def test_used_table_equals_fresh_table():
+    q = two_routes()
+    exceptions = {q.path("v", ["a", "c"]): Fraction(2)}
+    used = GeneralCoefficientTable(q, CoefficientFunction.trivial(), exceptions)
+    pattern_report(q, 3, used)
+    fresh = GeneralCoefficientTable(q, CoefficientFunction.trivial(), exceptions)
+    assert used == fresh
+    assert repr(used) == repr(fresh)
+
+
+def test_memo_tells_apart_trivial_path_coefficients():
+    # e_v and e_w share the empty arrow tuple; only e_w vanishes mod 5
+    q = Quiver(["v", "w"], [("x", "v", "w"), ("y", "w", "v")])
+    exceptions = {q.vertex_path("v"): Fraction(1), q.vertex_path("w"): Fraction(5)}
+    table = GeneralCoefficientTable(q, CoefficientFunction.trivial(), exceptions)
+    assert len(pattern_report(q, 2, table)) == 4
+    with pytest.raises(QuiverError, match=r"Path\(w\) vanishes in F5"):
+        pattern_report(q, 2, table, field=PrimeField(5))
