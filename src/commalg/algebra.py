@@ -20,7 +20,8 @@ from typing import Mapping
 from .errors import InternalInvariantError, QuiverError
 from .fields import QQ
 from .quiver import Path, Quiver, compose
-from .structure import _block_values, _consistent_order, path_components, reachability
+from .structure import (ReachabilityPattern, _block_values, _of_rows, reachability,
+                        topological_component_order)
 
 __all__ = [
     "CoefficientFunction",
@@ -92,26 +93,28 @@ class CommutingAlgebra:
     def __init__(self, quiver: Quiver, field=QQ):
         self.quiver = quiver
         self.field = field
-        self.partition = path_components(quiver)
         base_pattern = reachability(quiver)
-        self.condensation, self.component_order, self.order = _consistent_order(
-            self.partition, base_pattern
-        )
-        self.pattern = base_pattern.reordered(self.order)
-        self.block_sizes = tuple(
-            len(self.partition.components[ci]) for ci in self.component_order
-        )
+        self.partition = base_pattern.partition
+        self.condensation = cond = base_pattern.condensation
+        self.component_order = topological_component_order(cond)
+        blocks = [self.partition.components[ci] for ci in self.component_order]
+        self.order = tuple(v for block in blocks for v in block)
+        self.block_sizes = tuple(map(len, blocks))
         self.block_pattern = tuple(
-            tuple(self.condensation.relation[ci][cj] for cj in self.component_order)
+            tuple(bool(cond.rows[ci] >> cj & 1) for cj in self.component_order)
             for ci in self.component_order
         )
-        self._position = {v: i for i, v in enumerate(self.order)}
-        self._verify_block_form()
-
-    def _verify_block_form(self) -> None:
-        """Check the block shape of the pattern really holds; bugs only."""
         offsets = [0, *accumulate(self.block_sizes)]
         masks = [((1 << d) - 1) << offsets[b] for b, d in enumerate(self.block_sizes)]
+        rows: list[int] = []
+        for related, size in zip(self.block_pattern, self.block_sizes):
+            rows += [sum(m for m, r in zip(masks, related) if r)] * size
+        self.pattern = _of_rows(ReachabilityPattern, order=self.order, rows=tuple(rows))
+        self._position = {v: i for i, v in enumerate(self.order)}
+        self._verify_block_form(offsets, masks)
+
+    def _verify_block_form(self, offsets: list[int], masks: list[int]) -> None:
+        """Check the block shape of the pattern really holds; bugs only."""
         rows = self.pattern.rows
         for bi in range(len(masks)):
             values = _block_values(rows[offsets[bi]:offsets[bi + 1]], masks)
@@ -149,7 +152,7 @@ class CommutingAlgebra:
             raise QuiverError(f"unknown vertex {v!r}") from None
 
     def hom_dimension(self, source: str, target: str) -> int:
-        return int(self.pattern.bits[self.position(source)][self.position(target)])
+        return self.pattern.rows[self.position(source)] >> self.position(target) & 1
 
     def total_dimension(self) -> int:
         return self.pattern.true_count()
@@ -159,7 +162,7 @@ class CommutingAlgebra:
         packed: dict[tuple[int, int], object] = {}
         for (v, w), scalar in entries.items():
             i, j = self.position(v), self.position(w)
-            if not self.pattern.bits[i][j]:
+            if not self.pattern.rows[i] >> j & 1:
                 raise QuiverError(
                     f"entry ({v!r}, {w!r}) is outside the support pattern"
                 )
@@ -179,7 +182,7 @@ class CommutingAlgebra:
     def basis_element(self, source: str, target: str) -> "AlgebraElement":
         """The matrix unit e(source, target); the Hom space must be nonzero."""
         i, j = self.position(source), self.position(target)
-        if not self.pattern.bits[i][j]:
+        if not self.pattern.rows[i] >> j & 1:
             raise QuiverError(
                 f"no basis element at ({source!r}, {target!r}): Hom space is zero"
             )
@@ -200,7 +203,7 @@ class CommutingAlgebra:
         for (i, j) in acc:
             # closure under multiplication comes from transitivity of the
             # pattern; falling out of it means the construction is broken
-            if not self.pattern.bits[i][j]:
+            if not self.pattern.rows[i] >> j & 1:
                 raise InternalInvariantError(
                     f"product has support ({i}, {j}) outside the pattern"
                 )

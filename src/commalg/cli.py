@@ -28,7 +28,6 @@ from .poset import (
 )
 from .quiver import Quiver, to_dot
 from .randgen import random_quiver
-from .structure import consistent_ordering, path_components
 
 __all__ = ["main", "run"]
 
@@ -84,9 +83,8 @@ def _cmd_parse(args) -> str:
 
 
 def _cmd_components(args) -> str:
-    quiver = _load(args)
-    partition = path_components(quiver)
-    order = consistent_ordering(quiver, partition)
+    algebra = commuting_algebra(_load(args))
+    partition, order = algebra.partition, algebra.order
     payload = {
         "components": [list(comp) for comp in partition.components],
         "order": list(order),
@@ -104,10 +102,8 @@ def _cmd_blockform(args) -> str:
     quiver = _load(args)
     algebra = commuting_algebra(quiver, parse_field(args.field))
     if args.format == "pretty":
-        lines = [
-            " ".join("K" if b else "0" for b in row) for row in algebra.pattern.bits
-        ]
-        return "\n".join(lines) + "\n"
+        rows = algebra.pattern.bitstrings()
+        return "\n".join(" ".join(row).replace("1", "K") for row in rows) + "\n"
     return _json(
         {
             "order": list(algebra.order),

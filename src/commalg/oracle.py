@@ -194,7 +194,6 @@ def truncated_hom_dimension(
     if truncation < 0:
         raise QuiverError("truncation must be nonnegative")
     paths = enumerate_paths(quiver, source, target, truncation, cap=path_cap)
-    solver = _TwoTermRank(len(paths), field)
 
     def coeff(path: Path):
         # nonzero over the rationals is not enough: the value must stay
@@ -208,12 +207,15 @@ def truncated_hom_dimension(
 
     if table.is_multiplicative:
         # r (f(p) p - f(q) q) s is a scalar multiple of the plain difference
-        # f(rps) rps - f(rqs) rqs, so padding never adds new relations
+        # f(rps) rps - f(rqs) rqs, so padding never adds new relations; each
+        # f(p_0) p_0 = f(p_k) p_k ties one more path to the first, so the
+        # relations have rank one less than the path count
         if len(paths) > 1:
-            first = coeff(paths[0])
-            for k in range(1, len(paths)):
-                solver.relate(0, k, first, coeff(paths[k]))
+            for path in paths:
+                coeff(path)  # raises if it vanishes in the field
+        rank = max(len(paths) - 1, 0)
     else:
+        solver = _TwoTermRank(len(paths), field)
         memo = table._memo
 
         def walks(a: str, b: str) -> list[tuple[tuple[str, ...], int]]:
@@ -283,8 +285,8 @@ def truncated_hom_dimension(
                                     continue
                                 seen.add(key)
                                 solver.relate(i, j, fp, fq)
+        rank = solver.rank()
 
-    rank = solver.rank()
     dimension = len(paths) - rank
     if dimension > 1:
         raise InternalInvariantError(

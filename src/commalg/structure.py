@@ -1,7 +1,14 @@
-"""Reachability structure of a quiver: components, closure, condensation.
+"""Reachability structure of a quiver: closure, components, condensation.
 
 Every order in the package is stored as row bitsets (bit j of row i means
-i <= j) and handled by the private core at the top of this module.
+i <= j) and handled by the private core at the top of this module; bool
+matrices (``bits``, ``relation``) are views built when first read.  The path
+components are read off the closure: in a preorder two vertices reach each
+other exactly when their rows are equal.  A closure built here is checked at
+component level (each member row meets every component all or not at all,
+and the component relation is a partial order), which implies the
+vertex-level preorder; bool matrices passed in from outside are checked in
+full.
 """
 
 from __future__ import annotations
@@ -158,27 +165,53 @@ class ComponentPartition:
         return len(self.components)
 
 
-@dataclass(frozen=True)
+def _of_rows(cls, **fields):
+    """An instance of a row-stored class, skipping its bool-matrix constructor."""
+    out = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(out, name, value)
+    return out
+
+
+@dataclass(frozen=True, init=False)
 class ReachabilityPattern:
-    """Reflexive-transitive reachability as a boolean matrix over a vertex order."""
+    """Reflexive-transitive reachability over a vertex order, as row bitsets."""
 
     order: tuple[str, ...]
-    bits: tuple[tuple[bool, ...], ...]
+    rows: Rows
 
-    def __post_init__(self):
-        _check_preorder(self.rows, InternalInvariantError, "pattern")
+    def __init__(self, order: Sequence[str], bits: Sequence[Sequence[bool]]):
+        """Pattern of a bool matrix, checked to be a preorder."""
+        order = tuple(order)
+        rows = _rows(bits, len(order), InternalInvariantError, "pattern")
+        _check_preorder(rows, InternalInvariantError, "pattern")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "rows", rows)
 
     @cached_property
-    def rows(self) -> Rows:
-        return _rows(self.bits, len(self.order), InternalInvariantError, "pattern")
+    def bits(self) -> tuple[tuple[bool, ...], ...]:
+        return _matrix(self.rows)
 
     @cached_property
     def index(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.order)}
 
+    @cached_property
+    def partition(self) -> ComponentPartition:
+        """Classes of equal rows, by first vertex: the mutual-reachability classes."""
+        classes: dict[int, list[str]] = {}
+        for v, row in zip(self.order, self.rows):
+            classes.setdefault(row, []).append(v)
+        return ComponentPartition(tuple(map(tuple, classes.values())))
+
+    @cached_property
+    def condensation(self) -> "CondensationOrder":
+        """The order on this pattern's own path components."""
+        return condensation(self.partition, self)
+
     def at(self, source: str, target: str) -> bool:
         try:
-            return self.bits[self.index[source]][self.index[target]]
+            return bool(self.rows[self.index[source]] >> self.index[target] & 1)
         except KeyError as exc:
             raise QuiverError(f"unknown vertex {exc.args[0]!r}") from None
 
@@ -186,114 +219,77 @@ class ReachabilityPattern:
         new_order = tuple(new_order)
         if sorted(new_order) != sorted(self.order):
             raise QuiverError("new order is not a permutation of the vertices")
-        idx = self.index
-        bits = tuple(
-            tuple(self.bits[idx[v]][idx[w]] for w in new_order) for v in new_order
+        old = [self.index[v] for v in new_order]
+        rows = tuple(
+            sum(1 << k for k, j in enumerate(old) if self.rows[i] >> j & 1) for i in old
         )
-        return ReachabilityPattern(new_order, bits)
+        return _of_rows(ReachabilityPattern, order=new_order, rows=rows)
 
     def bitstrings(self) -> tuple[str, ...]:
-        return tuple("".join("1" if b else "0" for b in row) for row in self.bits)
+        n = len(self.order)
+        return tuple(format(row, f"0{n}b")[::-1] for row in self.rows)
 
     def true_count(self) -> int:
         return sum(row.bit_count() for row in self.rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CondensationOrder:
     """Component-level reachability: a partial order on the components."""
 
-    relation: tuple[tuple[bool, ...], ...]
+    rows: Rows
 
-    def __post_init__(self):
-        _check_preorder(self.rows, InternalInvariantError, "condensation",
-                        antisymmetric=True)
+    def __init__(self, relation: Sequence[Sequence[bool]]):
+        """Order of a bool matrix, checked to be a partial order."""
+        rows = _rows(relation, len(relation), InternalInvariantError, "condensation")
+        _check_preorder(rows, InternalInvariantError, "condensation", antisymmetric=True)
+        object.__setattr__(self, "rows", rows)
 
     @cached_property
-    def rows(self) -> Rows:
-        return _rows(self.relation, self.m, InternalInvariantError, "condensation")
+    def relation(self) -> tuple[tuple[bool, ...], ...]:
+        return _matrix(self.rows)
 
     @property
     def m(self) -> int:
-        return len(self.relation)
+        return len(self.rows)
 
 
 def path_components(quiver: Quiver) -> ComponentPartition:
-    """Strongly connected components, iterative Tarjan."""
-    index_of: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    raw: list[list[str]] = []
-    counter = 0
-
-    for root in quiver.vertices:
-        if root in index_of:
-            continue
-        index_of[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        call = [(root, iter(quiver.arrows_from[root]))]
-        while call:
-            node, arrows = call[-1]
-            advanced = False
-            for arrow in arrows:
-                w = arrow.target
-                if w not in index_of:
-                    index_of[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    call.append((w, iter(quiver.arrows_from[w])))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[node] = min(low[node], index_of[w])
-            if advanced:
-                continue
-            call.pop()
-            if call:
-                parent = call[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index_of[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                raw.append(comp)
-
-    decl = quiver.vertex_index
-    canonical = [tuple(sorted(comp, key=decl.__getitem__)) for comp in raw]
-    canonical.sort(key=lambda comp: decl[comp[0]])
-    return ComponentPartition(tuple(canonical))
+    """Path components: vertices with equal rows in the reachability pattern."""
+    return reachability(quiver).partition
 
 
 def reachability(quiver: Quiver) -> ReachabilityPattern:
     """Pattern over the declaration order: v reaches w iff a path runs from v to w.
 
-    Every vertex reaches itself by its length-zero path.
+    Every vertex reaches itself by its length-zero path.  The closure is
+    checked to hold every arrow and, at component level, to be a preorder.
     """
     idx = quiver.vertex_index
-    rows = _closure(
-        quiver.n, ((idx[a.source], idx[a.target]) for a in quiver.arrows)
-    )
-    return ReachabilityPattern(quiver.vertices, _matrix(rows))
+    pairs = [(idx[a.source], idx[a.target]) for a in quiver.arrows]
+    rows = _closure(quiver.n, pairs)
+    for arrow, (i, j) in zip(quiver.arrows, pairs):
+        if not rows[i] >> j & 1:
+            raise InternalInvariantError(f"pattern misses arrow {arrow.name!r}")
+    pattern = _of_rows(ReachabilityPattern, order=quiver.vertices, rows=rows)
+    pattern.condensation  # its checks imply the vertex-level preorder
+    return pattern
 
 
 def condensation(
     partition: ComponentPartition, pattern: ReachabilityPattern
 ) -> CondensationOrder:
-    """Component-level relation; every representative pair must agree."""
+    """Component-level relation, checked to be a partial order.
+
+    Every member row must meet each component all or not at all, so the
+    relation does not depend on the representative.
+    """
     index = pattern.index
     try:
         masks = [sum(1 << index[v] for v in comp) for comp in partition.components]
     except KeyError as exc:
         raise QuiverError(f"unknown vertex {exc.args[0]!r}") from None
-    relation = []
+    rows = []
     for i, comp in enumerate(partition.components):
         related = _block_values([pattern.rows[index[u]] for u in comp], masks)
         if None in related:
@@ -301,8 +297,9 @@ def condensation(
                 f"reachability between components {i} and {related.index(None)} "
                 "depends on the representative"
             )
-        relation.append(tuple(related))
-    return CondensationOrder(tuple(relation))
+        rows.append(sum(1 << j for j, r in enumerate(related) if r))
+    _check_preorder(rows, InternalInvariantError, "condensation", antisymmetric=True)
+    return _of_rows(CondensationOrder, rows=tuple(rows))
 
 
 def topological_component_order(cond: CondensationOrder) -> tuple[int, ...]:
@@ -322,17 +319,8 @@ def consistent_ordering(
     """
     if pattern is None:
         pattern = reachability(quiver)
-    return _consistent_order(partition, pattern)[2]
-
-
-def _consistent_order(
-    partition: ComponentPartition, pattern: ReachabilityPattern
-) -> tuple[CondensationOrder, tuple[int, ...], tuple[str, ...]]:
-    """The condensation, its component order and the vertex order they give."""
-    cond = condensation(partition, pattern)
-    component_order = topological_component_order(cond)
-    order = tuple(v for ci in component_order for v in partition.components[ci])
-    return cond, component_order, order
+    component_order = topological_component_order(condensation(partition, pattern))
+    return tuple(v for ci in component_order for v in partition.components[ci])
 
 
 def longest_chain(cond: CondensationOrder) -> int:

@@ -37,6 +37,7 @@ from commalg.poset import Poset, hasse_quiver
 from commalg.quiver import enumerate_paths
 from commalg.randgen import (
     random_quiver,
+    random_sparse_quiver,
     random_tree_quiver,
     random_weights,
 )
@@ -352,3 +353,14 @@ def test_criterion_10_homology_desk_checks():
     assert elapsed < 1.0
     _report(10, f"gldim point/3-chain/diamond = 0/1/2, all resolutions "
                 f"verified exact and minimal ({elapsed:.3f}s)")
+
+
+def test_criterion_11_structural_pass_at_1000_vertices():
+    q = random_sparse_quiver(1000, 2000, random.Random(1000))
+    start = time.perf_counter()
+    alg = commuting_algebra(q)
+    elapsed = time.perf_counter() - start
+    assert sum(alg.block_sizes) == 1000
+    assert elapsed < 1.0
+    _report(11, f"1000 vertices, 2000 arrows, {len(alg.block_sizes)} blocks "
+                f"({elapsed:.3f}s)")

@@ -14,8 +14,9 @@ from commalg import (
     quasi_commuting_algebra,
     quasi_structure_constant,
 )
-from commalg.quiver import Quiver, compose
-from commalg.randgen import random_quiver, random_weights
+from commalg import structure
+from commalg.quiver import Arrow, Quiver, compose
+from commalg.randgen import random_quiver, random_sparse_quiver, random_weights
 
 
 def test_two_block_dimensions(two_block):
@@ -286,3 +287,45 @@ def test_multiply_checks_ownership(two_block):
     again = commuting_algebra(two_block)
     with pytest.raises(QuiverError):
         alg.one() * again.one()
+
+
+@pytest.mark.parametrize("arrows, dropped", [
+    ((("x", "a", "b"), ("y", "b", "c")), ("a", "c")),  # transitive bit of a chain
+    ((("x", "a", "b"), ("y", "b", "a")), ("b", "a")),  # one direction of a 2-cycle
+    ((("x", "a", "b"), ("y", "b", "c"), ("z", "c", "a")), ("b", "a")),  # of a 3-cycle
+])
+def test_a_wrong_closure_fails_the_build(monkeypatch, arrows, dropped):
+    q = Quiver("abc", [Arrow(*arrow) for arrow in arrows])
+    closure = structure._closure
+    i, j = (q.vertex_index[v] for v in dropped)
+
+    def wrong(n, pairs):
+        rows = list(closure(n, pairs))
+        rows[i] &= ~(1 << j)
+        return tuple(rows)
+
+    commuting_algebra(q)
+    monkeypatch.setattr(structure, "_closure", wrong)
+    with pytest.raises(InternalInvariantError):
+        commuting_algebra(q)
+
+
+def test_a_build_closes_once_and_checks_only_component_rows(monkeypatch):
+    q = random_sparse_quiver(60, 120, random.Random(60))
+    closures, checked = [], []
+    closure, check = structure._closure, structure._check_preorder
+
+    def counted_closure(n, pairs):
+        closures.append(n)
+        return closure(n, pairs)
+
+    def counted_check(rows, *args, **kwargs):
+        checked.append(len(rows))
+        return check(rows, *args, **kwargs)
+
+    monkeypatch.setattr(structure, "_closure", counted_closure)
+    monkeypatch.setattr(structure, "_check_preorder", counted_check)
+    alg = commuting_algebra(q)
+    assert len(alg.block_sizes) < q.n
+    assert closures == [q.n]
+    assert checked == [len(alg.block_sizes)]

@@ -18,7 +18,9 @@ from commalg import (
     ReachabilityPattern,
     condensation,
     hasse,
+    path_components,
 )
+from commalg.randgen import random_quiver
 
 
 def is_preorder(leq):
@@ -166,3 +168,27 @@ def test_condensation_rejects_a_partition_that_splits_reachability():
     assert condensation(partition, pattern).relation == pattern.bits
     with pytest.raises(QuiverError):
         condensation(ComponentPartition((("a", "b"), ("zz",))), pattern)
+
+
+def bfs_reach(quiver, source):
+    seen, frontier = {source}, [source]
+    while frontier:
+        frontier = [a.target for v in frontier for a in quiver.arrows_from[v]
+                    if a.target not in seen]
+        seen.update(frontier)
+    return seen
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_path_components_are_mutual_reachability_classes(seed):
+    # loops and parallel arrows allowed; a sparse draw leaves singletons
+    rng = random.Random(seed)
+    n = rng.randint(1, 9)
+    quiver = random_quiver(n, rng.randint(0, 2 * n), rng)
+    reach = {v: bfs_reach(quiver, v) for v in quiver.vertices}
+    classes = []
+    for v in quiver.vertices:  # declaration order: first vertex, then members
+        if not any(v in c for c in classes):
+            classes.append(tuple(w for w in quiver.vertices
+                                 if w in reach[v] and v in reach[w]))
+    assert path_components(quiver).components == tuple(classes)
