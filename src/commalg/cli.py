@@ -28,6 +28,7 @@ from .poset import (
 )
 from .quiver import Quiver, to_dot
 from .randgen import random_quiver
+from .structure import _bitstrings
 
 __all__ = ["main", "run"]
 
@@ -55,10 +56,6 @@ def _load(args) -> Quiver:
     return parse_quiver(_read_input(args.input))
 
 
-def _weight_str(quiver: Quiver, arrow_name: str) -> str:
-    return str(quiver.weights.get(arrow_name, 1))
-
-
 def _cmd_parse(args) -> str:
     quiver = _load(args)
     if args.format == "dot":
@@ -74,7 +71,7 @@ def _cmd_parse(args) -> str:
                     "name": a.name,
                     "source": a.source,
                     "target": a.target,
-                    "weight": _weight_str(quiver, a.name),
+                    "weight": str(quiver.weights.get(a.name, 1)),
                 }
                 for a in quiver.arrows
             ],
@@ -135,7 +132,7 @@ def _cmd_skeleton(args) -> str:
     payload = {
         "elements": list(skel.poset.elements),
         "representatives": list(skel.representatives),
-        "leq": ["".join("1" if b else "0" for b in row) for row in skel.poset.leq],
+        "leq": list(_bitstrings(skel.poset.rows)),
         "covers": [[x, y] for x, y in diagram.cover_pairs()],
         "incidence_dimension": inc.dimension,
     }
@@ -240,8 +237,7 @@ def _cmd_verify(args) -> tuple[str, bool]:
 
 
 def _cmd_random(args) -> str:
-    quiver = random_quiver(args.vertices, args.arrows, args.seed)
-    return to_dsl(quiver)
+    return to_dsl(random_quiver(args.vertices, args.arrows, args.seed))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -296,10 +292,7 @@ def run(argv: list[str] | None = None) -> int:
         result = args.func(args)  # verify also says whether every check passed
         text, ok = result if isinstance(result, tuple) else (result, True)
         _emit(text, args.out)
-    except QuiverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (QuiverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InternalInvariantError as exc:

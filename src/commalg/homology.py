@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Mapping
 
 from .errors import InternalInvariantError, QuiverError
@@ -62,18 +62,18 @@ class PosetRepresentation:
     @cached_property
     def _composites(self) -> dict[tuple[int, int], Mat]:
         """Composite map for every related pair; raises if route-dependent."""
-        leq = self.poset.leq
+        rows = self.poset.rows
         out: dict[tuple[int, int], Mat] = {}
         for i in range(len(self.poset)):
             out[(i, i)] = Mat.identity(self.dims[i])
         for j in self.poset.linear_extension():
             incoming = [pair for pair in self.maps if pair[1] == j]
             for i in range(len(self.poset)):
-                if i == j or not leq[i][j]:
+                if i == j or not rows[i] >> j & 1:
                     continue
                 candidate = None
                 for (y, _) in incoming:
-                    if not leq[i][y]:
+                    if not rows[i] >> y & 1:
                         continue
                     via = self.maps[(y, j)] @ out[(i, y)]
                     if candidate is None:
@@ -90,7 +90,7 @@ class PosetRepresentation:
 
     def composite(self, i: int, j: int) -> Mat:
         """The map from element i to element j (requires i <= j)."""
-        if not self.poset.leq[i][j]:
+        if not self.poset.rows[i] >> j & 1:
             raise QuiverError("composite requires related elements")
         return self._composites[(i, j)]
 
@@ -102,11 +102,8 @@ class PosetRepresentation:
 
     def radical_generators(self, j: int) -> Mat:
         """Columns spanning the radical at j: images of the cover maps into j."""
-        blocks = [self.maps[pair] for pair in sorted(self.maps) if pair[1] == j]
-        out = Mat(self.dims[j], 0)
-        for b in blocks:
-            out = out.hstack(b)
-        return out
+        blocks = (self.maps[pair] for pair in sorted(self.maps) if pair[1] == j)
+        return reduce(Mat.hstack, blocks, Mat(self.dims[j], 0))
 
 
 @dataclass(frozen=True)
@@ -155,9 +152,7 @@ class RepMorphism:
         """self after inner."""
         if inner.target is not self.source and inner.target != self.source:
             raise QuiverError("composition endpoints do not match")
-        blocks = tuple(
-            self.blocks[i] @ inner.blocks[i] for i in range(len(self.blocks))
-        )
+        blocks = tuple(a @ b for a, b in zip(self.blocks, inner.blocks))
         return RepMorphism(inner.source, self.target, blocks)
 
 
@@ -166,8 +161,8 @@ def _projective_sum(poset: Poset, tops: list[int]) -> PosetRepresentation:
 
     Repeats are allowed; each cover map is the 0/1 inclusion of summands.
     """
-    leq = poset.leq
-    at = [[k for k, x in enumerate(tops) if leq[x][y]] for y in range(len(poset))]
+    rows = poset.rows
+    at = [[k for k, x in enumerate(tops) if rows[x] >> y & 1] for y in range(len(poset))]
     maps = {}
     for (i, j) in poset.covers:
         mat = Mat(len(at[j]), len(at[i]))
@@ -179,16 +174,12 @@ def _projective_sum(poset: Poset, tops: list[int]) -> PosetRepresentation:
 
 def projective(poset: Poset, x: str) -> PosetRepresentation:
     """The projective at x: one dimension on every y >= x, identity maps."""
-    if x not in poset.index:
-        raise QuiverError(f"unknown element {x!r}")
-    return _projective_sum(poset, [poset.index[x]])
+    return _projective_sum(poset, [poset.position(x)])
 
 
 def simple(poset: Poset, x: str) -> PosetRepresentation:
     """The simple at x: one dimension at x, zero elsewhere."""
-    if x not in poset.index:
-        raise QuiverError(f"unknown element {x!r}")
-    xi = poset.index[x]
+    xi = poset.position(x)
     dims = tuple(1 if j == xi else 0 for j in range(len(poset)))
     maps = {(i, j): Mat(dims[j], dims[i]) for (i, j) in poset.covers}
     return PosetRepresentation(poset, dims, maps)
@@ -227,7 +218,7 @@ def projective_cover(rep: PosetRepresentation) -> ProjectiveCover:
     cover_rep = _projective_sum(poset, [x for x, _ in summands])
     blocks = tuple(
         Mat.from_columns(
-            [rep.composite(x, y).column(c) for x, c in summands if poset.leq[x][y]],
+            [rep.composite(x, y).column(c) for x, c in summands if poset.rows[x] >> y & 1],
             rep.dims[y],
         )
         for y in range(len(poset))
@@ -309,10 +300,8 @@ def minimal_resolution(poset: Poset, x: str) -> Resolution:
         step = projective_cover(current)
         covers.append(step.module)
         multisets.append(step.multiset)
-        if inclusion is None:
-            maps.append(step.surjection)
-        else:
-            maps.append(inclusion.compose(step.surjection))
+        maps.append(step.surjection if inclusion is None
+                    else inclusion.compose(step.surjection))
         kernel, incl = step.surjection.kernel()
         if kernel.is_zero():
             return Resolution(target, tuple(covers), tuple(multisets), tuple(maps))
@@ -342,4 +331,6 @@ def projective_dimensions(poset: Poset) -> tuple[int, ...]:
 
 def global_dimension(poset: Poset) -> int:
     """Max projective dimension of the simples; see ``projective_dimensions``."""
+    if not len(poset):
+        raise QuiverError("the empty poset has no simples, so no global dimension")
     return max(projective_dimensions(poset))

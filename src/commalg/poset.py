@@ -28,6 +28,7 @@ from .structure import (
     _covers,
     _longest_chain,
     _matrix,
+    _of_rows,
     _rows,
     _topological_order,
 )
@@ -48,18 +49,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Poset:
-    """Finite poset: named elements and a leq matrix over their order."""
+    """Finite poset: elements and their order as row bitsets; ``leq`` is a cached view."""
 
     elements: tuple[str, ...]
-    leq: tuple[tuple[bool, ...], ...]
+    rows: Rows
 
-    def __post_init__(self):
-        if len(set(self.elements)) != len(self.elements):
+    def __init__(self, elements: Sequence[str], leq: Sequence[Sequence[bool]]):
+        """Poset of a leq matrix, checked to be a partial order."""
+        elements = tuple(elements)
+        if len(set(elements)) != len(elements):
             raise QuiverError("poset elements must be pairwise distinct")
-        _check_preorder(self.rows, QuiverError, "leq", antisymmetric=True,
-                        names=self.elements)
+        rows = _rows(leq, len(elements), QuiverError, "leq", antisymmetric=True,
+                     names=elements)
+        self.__dict__.update(elements=elements, rows=rows)
 
     @classmethod
     def from_pairs(
@@ -68,16 +72,20 @@ class Poset:
         """Reflexive-transitive closure of the given strict pairs."""
         elements = tuple(elements)
         index = {x: i for i, x in enumerate(elements)}
+        if len(index) != len(elements):
+            raise QuiverError("poset elements must be pairwise distinct")
         edges = []
         for x, y in pairs:
             if x not in index or y not in index:
                 raise QuiverError(f"pair ({x!r}, {y!r}) mentions an unknown element")
             edges.append((index[x], index[y]))
-        return cls(elements, _matrix(_closure(len(elements), edges)))
+        rows = _closure(len(elements), edges)
+        _check_preorder(rows, QuiverError, "leq", antisymmetric=True, names=elements)
+        return _of_rows(cls, elements=elements, rows=rows)
 
     @cached_property
-    def rows(self) -> Rows:
-        return _rows(self.leq, len(self.elements), QuiverError, "leq")
+    def leq(self) -> tuple[tuple[bool, ...], ...]:
+        return _matrix(self.rows)
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
@@ -88,11 +96,14 @@ class Poset:
     def index(self) -> dict[str, int]:
         return {x: i for i, x in enumerate(self.elements)}
 
-    def le(self, x: str, y: str) -> bool:
+    def position(self, x: str) -> int:
         try:
-            return self.leq[self.index[x]][self.index[y]]
-        except KeyError as exc:
-            raise QuiverError(f"unknown element {exc.args[0]!r}") from None
+            return self.index[x]
+        except KeyError:
+            raise QuiverError(f"unknown element {x!r}") from None
+
+    def le(self, x: str, y: str) -> bool:
+        return bool(self.rows[self.position(x)] >> self.position(y) & 1)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -147,8 +158,8 @@ class Skeleton:
 
     Poset elements are named canonically by the smallest-index vertex of
     each component, so the poset itself never depends on which
-    representatives were chosen.  The poset is read off the commuting
-    algebra the skeleton carries: it is the algebra's condensation order.
+    representatives were chosen.  The poset is the condensation order of the
+    commuting algebra the skeleton carries, and shares its checked rows.
     """
 
     quiver: Quiver
@@ -192,7 +203,7 @@ def _skeleton(
                 raise QuiverError(
                     f"representative {rep!r} is not in component {ci}"
                 )
-    poset = Poset(canonical, algebra.condensation.relation)
+    poset = _of_rows(Poset, elements=canonical, rows=algebra.condensation.rows)
     return Skeleton(algebra.quiver, poset, representatives, algebra)
 
 
@@ -218,6 +229,8 @@ class IncidenceAlgebra:
         return frozenset(self.basis)
 
     def basis_index(self, pair: tuple[int, int]) -> int:
+        if pair not in self._basis_set:
+            raise QuiverError(f"{pair} is not a basis pair")
         return self.basis.index(pair)
 
     def multiply_basis(

@@ -1,14 +1,15 @@
 """Reachability structure of a quiver: closure, components, condensation.
 
 Every order in the package is stored as row bitsets (bit j of row i means
-i <= j) and handled by the private core at the top of this module; bool
-matrices (``bits``, ``relation``) are views built when first read.  The path
-components are read off the closure: in a preorder two vertices reach each
-other exactly when their rows are equal.  A closure built here is checked at
-component level (each member row meets every component all or not at all,
-and the component relation is a partial order), which implies the
-vertex-level preorder; bool matrices passed in from outside are checked in
-full.
+i <= j) and handled by the private core at the top of this module.  Bool
+matrices are only constructor input, converted and checked in full by
+``_rows``, and views (``bits``, ``relation``, ``Poset.leq``) built when
+first read.  The path components are read off the closure: in a preorder
+two vertices reach each other exactly when their rows are equal.  A closure
+built here is checked at component level (each member row meets every
+component all or not at all, and the component relation is a partial
+order), which implies the vertex-level preorder; the skeleton's poset
+shares those component rows.
 """
 
 from __future__ import annotations
@@ -36,16 +37,22 @@ __all__ = [
 Rows = tuple[int, ...]
 
 
-def _rows(matrix: Sequence[Sequence[bool]], n: int, error: type, what: str) -> Rows:
-    """Row bitsets of an n x n bool matrix."""
+def _rows(matrix: Sequence[Sequence[bool]], n: int, error: type, what: str, **check) -> Rows:
+    """Row bitsets of an n x n bool matrix, checked by ``_check_preorder(..., **check)``."""
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise error(f"{what} matrix is not {n}x{n}")
-    return tuple(sum(1 << j for j, b in enumerate(row) if b) for row in matrix)
+    rows = tuple(sum(1 << j for j, b in enumerate(row) if b) for row in matrix)
+    _check_preorder(rows, error, what, **check)
+    return rows
+
+
+def _bitstrings(rows: Rows) -> tuple[str, ...]:
+    n = len(rows)
+    return tuple(format(row, f"0{n}b")[::-1] for row in rows)
 
 
 def _matrix(rows: Rows) -> tuple[tuple[bool, ...], ...]:
-    n = len(rows)
-    return tuple(tuple(c == "1" for c in reversed(format(r, f"0{n}b"))) for r in rows)
+    return tuple(tuple(c == "1" for c in row) for row in _bitstrings(rows))
 
 
 def _bits(row: int) -> Iterator[int]:
@@ -168,8 +175,7 @@ class ComponentPartition:
 def _of_rows(cls, **fields):
     """An instance of a row-stored class, skipping its bool-matrix constructor."""
     out = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(out, name, value)
+    out.__dict__.update(fields)  # as cached_property does, past the frozen __setattr__
     return out
 
 
@@ -184,9 +190,7 @@ class ReachabilityPattern:
         """Pattern of a bool matrix, checked to be a preorder."""
         order = tuple(order)
         rows = _rows(bits, len(order), InternalInvariantError, "pattern")
-        _check_preorder(rows, InternalInvariantError, "pattern")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "rows", rows)
+        self.__dict__.update(order=order, rows=rows)
 
     @cached_property
     def bits(self) -> tuple[tuple[bool, ...], ...]:
@@ -226,8 +230,7 @@ class ReachabilityPattern:
         return _of_rows(ReachabilityPattern, order=new_order, rows=rows)
 
     def bitstrings(self) -> tuple[str, ...]:
-        n = len(self.order)
-        return tuple(format(row, f"0{n}b")[::-1] for row in self.rows)
+        return _bitstrings(self.rows)
 
     def true_count(self) -> int:
         return sum(row.bit_count() for row in self.rows)
@@ -241,9 +244,8 @@ class CondensationOrder:
 
     def __init__(self, relation: Sequence[Sequence[bool]]):
         """Order of a bool matrix, checked to be a partial order."""
-        rows = _rows(relation, len(relation), InternalInvariantError, "condensation")
-        _check_preorder(rows, InternalInvariantError, "condensation", antisymmetric=True)
-        object.__setattr__(self, "rows", rows)
+        self.__dict__["rows"] = _rows(relation, len(relation), InternalInvariantError,
+                                      "condensation", antisymmetric=True)
 
     @cached_property
     def relation(self) -> tuple[tuple[bool, ...], ...]:

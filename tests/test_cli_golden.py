@@ -5,13 +5,17 @@ The quivers below go through every subcommand and ``--format``, plus
 runs (a path-cap overflow and a DSL error).  The digest was
 recorded before the structural pass read its path components off the
 reachability rows, so a change that moves a byte of CLI output fails here.
+The same runs with ``structure._matrix`` patched to raise pin that no
+library path behind the CLI builds a bool matrix.
 """
 
 import hashlib
 import io
 import json
 
-from commalg import to_dsl
+import pytest
+
+from commalg import poset, structure, to_dsl
 from commalg.cli import run
 from commalg.examples import (
     kronecker_quiver,
@@ -51,7 +55,7 @@ def golden_quivers():
         yield random_sparse_quiver(4 + seed % 3, 6 + seed % 3, 100 + seed)
 
 
-def test_cli_output_matches_golden_digest(monkeypatch, capsys):
+def golden_digest(monkeypatch, capsys) -> str:
     digest = hashlib.sha256()
 
     def record(argv, stdin=""):
@@ -68,4 +72,17 @@ def test_cli_output_matches_golden_digest(monkeypatch, capsys):
         record(["random", "--vertices", "5", "--arrows", "7", "--seed", str(seed)])
     record(["verify", "--path-cap", "3", "-"], to_dsl(two_block_quiver()))
     record(["parse", "-"], "quiver Q {\n  vertices: v, v;\n}\n")
-    assert digest.hexdigest() == GOLDEN_SHA256
+    return digest.hexdigest()
+
+
+def test_cli_output_matches_golden_digest(monkeypatch, capsys):
+    assert golden_digest(monkeypatch, capsys) == GOLDEN_SHA256
+
+
+def test_no_cli_path_builds_a_bool_matrix(monkeypatch, capsys):
+    def refuse(rows):
+        pytest.fail("a bool matrix was built")
+
+    for module in (structure, poset):  # every module that binds the name
+        monkeypatch.setattr(module, "_matrix", refuse)
+    assert golden_digest(monkeypatch, capsys) == GOLDEN_SHA256

@@ -166,6 +166,8 @@ def test_global_dimension_values():
     assert global_dimension(chain(2)) == 1
     assert global_dimension(chain(5)) == 1
     assert global_dimension(Poset.from_pairs("ab", [])) == 0
+    with pytest.raises(QuiverError, match="empty poset"):
+        global_dimension(Poset((), ()))
 
 
 @pytest.mark.parametrize("seed", range(60))

@@ -17,7 +17,9 @@ from commalg import (
     skeleton,
     skeleton_iso_incidence,
 )
-from commalg.randgen import random_poset, random_quiver
+from commalg import poset as poset_module
+from commalg import structure
+from commalg.randgen import random_poset, random_quiver, random_sparse_quiver
 from commalg.structure import path_components
 
 
@@ -58,6 +60,33 @@ def test_from_pairs_closure():
         Poset.from_pairs(["a"], [("a", "b")])
     with pytest.raises(QuiverError):
         p.le("zz", "x0")
+
+
+def test_from_pairs_rejects_repeats_and_cycles():
+    # closed and checked on rows, without the matrix constructor
+    with pytest.raises(QuiverError, match="pairwise distinct"):
+        Poset.from_pairs(["a", "b", "a"], [("a", "b")])
+    with pytest.raises(QuiverError, match="antisymmetric: 'b' and 'c'"):
+        Poset.from_pairs("abc", [("a", "b"), ("b", "c"), ("c", "b")])
+    p = Poset.from_pairs("abc", [("a", "b"), ("b", "c")])
+    assert p == Poset("abc", p.leq) and hash(p) == hash(Poset("abc", p.leq))
+    assert p.leq == ((True, True, True), (False, True, True), (False, False, True))
+
+
+def test_a_skeleton_checks_its_order_once_on_the_component_rows(monkeypatch):
+    q = random_sparse_quiver(60, 120, random.Random(60))
+    checked, check = [], structure._check_preorder
+
+    def counted_check(rows, *args, **kwargs):
+        checked.append(len(rows))
+        return check(rows, *args, **kwargs)
+
+    for module in (structure, poset_module):
+        monkeypatch.setattr(module, "_check_preorder", counted_check)
+    skel = skeleton(q)
+    assert len(skel.poset) < q.n
+    assert checked == [len(skel.poset)]
+    assert skel.poset.rows is skel.algebra.condensation.rows
 
 
 def test_longest_chain():
@@ -171,6 +200,8 @@ def test_incidence_multiplication():
     with pytest.raises(QuiverError):
         inc.multiply_basis((1, 0), (0, 0))  # not a basis pair
     assert inc.basis_index((0, 0)) == 0
+    with pytest.raises(QuiverError, match=r"\(1, 0\) is not a basis pair"):
+        inc.basis_index((1, 0))
 
 
 @pytest.mark.parametrize("seed", range(15))

@@ -151,7 +151,9 @@ def test_poset_algorithms_match_brute_force(seed):
     assert poset.linear_extension() == brute_linear_extension(leq)
     assert poset.longest_chain() == brute_longest_chain(leq)
     pairs = [(poset.elements[i], poset.elements[j]) for i, j in brute_covers(leq)]
+    assert poset.leq == leq
     assert Poset.from_pairs(poset.elements, pairs) == poset
+    assert hash(Poset.from_pairs(poset.elements, pairs)) == hash(poset)
 
 
 def test_condensation_rejects_a_partition_that_splits_reachability():
