@@ -14,6 +14,7 @@ import copy
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from typing import Mapping
 
@@ -96,26 +97,26 @@ class CommutingAlgebra:
         base_pattern = reachability(quiver)
         self.partition = base_pattern.partition
         self.condensation = cond = base_pattern.condensation
-        self.component_order = topological_component_order(cond)
-        blocks = [self.partition.components[ci] for ci in self.component_order]
+        self.component_order = order = topological_component_order(cond)
+        blocks = [self.partition.components[ci] for ci in order]
         self.order = tuple(v for block in blocks for v in block)
         self.block_sizes = tuple(map(len, blocks))
-        self.block_pattern = tuple(
-            tuple(bool(cond.rows[ci] >> cj & 1) for cj in self.component_order)
-            for ci in self.component_order
-        )
         offsets = [0, *accumulate(self.block_sizes)]
         masks = [((1 << d) - 1) << offsets[b] for b, d in enumerate(self.block_sizes)]
         rows: list[int] = []
-        for related, size in zip(self.block_pattern, self.block_sizes):
-            rows += [sum(m for m, r in zip(masks, related) if r)] * size
+        for ci, size in zip(order, self.block_sizes):
+            rows += [sum(m for m, cj in zip(masks, order) if cond.rows[ci] >> cj & 1)] * size
         self.pattern = _of_rows(ReachabilityPattern, order=self.order, rows=tuple(rows))
-        self._position = {v: i for i, v in enumerate(self.order)}
         self._verify_block_form(offsets, masks)
+
+    @cached_property
+    def block_pattern(self) -> tuple[tuple[bool, ...], ...]:
+        order, rows = self.component_order, self.condensation.rows
+        return tuple(tuple(bool(rows[ci] >> cj & 1) for cj in order) for ci in order)
 
     def _verify_block_form(self, offsets: list[int], masks: list[int]) -> None:
         """Check the block shape of the pattern really holds; bugs only."""
-        rows = self.pattern.rows
+        rows, order, related = self.pattern.rows, self.component_order, self.condensation.rows
         for bi in range(len(masks)):
             values = _block_values(rows[offsets[bi]:offsets[bi + 1]], masks)
             for bj, value in enumerate(values):
@@ -125,7 +126,7 @@ class CommutingAlgebra:
                     )
                 if bi == bj and not value:
                     raise InternalInvariantError(f"diagonal block {bi} is not full")
-                if value != self.block_pattern[bi][bj]:
+                if value != related[order[bi]] >> order[bj] & 1:
                     raise InternalInvariantError(
                         f"block ({bi}, {bj}) disagrees with the component pattern"
                     )
@@ -134,7 +135,7 @@ class CommutingAlgebra:
                         "pattern is not block upper triangular under the "
                         "topological component order"
                     )
-                if value and bi != bj and self.block_pattern[bj][bi]:
+                if value and bi != bj and related[order[bj]] >> order[bi] & 1:
                     raise InternalInvariantError(
                         f"blocks ({bi}, {bj}) and ({bj}, {bi}) are both nonzero"
                     )
@@ -147,7 +148,7 @@ class CommutingAlgebra:
 
     def position(self, v: str) -> int:
         try:
-            return self._position[v]
+            return self.pattern.index[v]
         except KeyError:
             raise QuiverError(f"unknown vertex {v!r}") from None
 

@@ -90,6 +90,9 @@ class PosetRepresentation:
 
     def composite(self, i: int, j: int) -> Mat:
         """The map from element i to element j (requires i <= j)."""
+        m = len(self.poset)
+        if not (0 <= i < m and 0 <= j < m):
+            raise QuiverError(f"indices ({i}, {j}) out of range for {m} elements")
         if not self.poset.rows[i] >> j & 1:
             raise QuiverError("composite requires related elements")
         return self._composites[(i, j)]

@@ -1,4 +1,4 @@
-"""Brute-force Hom-space dimensions by truncated path enumeration.
+"""Brute-force Hom-space dimensions of truncated path quotients.
 
 For a vertex pair (v, w) and a cutoff L, take the span of all paths v -> w
 of length at most L, and quotient by every representable relation
@@ -7,32 +7,30 @@ cutoff.  The reported dimension is the corank of the relation span.  No
 reachability shortcut is consulted: this is the independent check that the
 pattern-based algebra is measuring the right thing.
 
-Every relation generator touches at most two coordinates, so the rank is
-computed by sparse elimination specialized to two-term relations: a
-union-find tracking the ratio between each coordinate and its class root.
-A cycle whose accumulated ratio disagrees forces the whole class to zero.
-
-A tabulated (non-multiplicative) table reaches every relation through
-heads x middles x tails walk lists, and the same lists and coefficients
-recur for every vertex pair of a report.  Each ``GeneralCoefficientTable``
-therefore memoizes them: walk lists as ``(arrows, length)`` pairs keyed by
-``(start, end, truncation, path_cap)``, and coefficients in the working
-field keyed by ``(field, start, arrows)``.  Only successes are stored, so a
-path-cap overflow or a coefficient that vanishes in the field raises again
-on every call.  Reuse one table across calls, as ``pattern_report`` does.
+With multiplicative coefficients all parallel paths are one class, so the
+report follows from the walk count v -> w of ``count_paths``; paths are
+built only to check, over a prime field with weights, that none vanishes.
+Walk lists and the union-find over two-term relations (``_TwoTermRank``)
+belong to the tabulated branch, which reaches every relation through heads
+x middles x tails walk lists.  These lists and their coefficients recur for
+every vertex pair of a report, so each ``GeneralCoefficientTable`` memoizes
+them: walk lists as ``(arrows, length)`` pairs keyed by ``(start, end,
+truncation, path_cap)``, and coefficients in the working field keyed by
+``(field, start, arrows)``.  Only successes are stored, so a path-cap
+overflow or a coefficient that vanishes in the field raises again on every
+call.  Reuse one table across calls, as ``pattern_report`` does.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from typing import Mapping
 
 from .algebra import CoefficientFunction
 from .errors import InternalInvariantError, QuiverError
-from .fields import QQ
-from .quiver import Path, Quiver, enumerate_paths
+from .fields import QQ, PrimeField
+from .quiver import Path, Quiver, count_paths, enumerate_paths
 from .structure import reachability
 
 __all__ = [
@@ -162,23 +160,6 @@ class _TwoTermRank:
         return len(self.parent) - self.live_classes()
 
 
-def _bfs_distance(quiver: Quiver, source: str, target: str) -> int | None:
-    """Arrow count of a shortest path, or None when unreachable."""
-    if source == target:
-        return 0
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        at = queue.popleft()
-        for arrow in quiver.arrows_from[at]:
-            if arrow.target not in dist:
-                dist[arrow.target] = dist[at] + 1
-                if arrow.target == target:
-                    return dist[arrow.target]
-                queue.append(arrow.target)
-    return dist.get(target)
-
-
 def truncated_hom_dimension(
     quiver: Quiver,
     table: GeneralCoefficientTable,
@@ -193,7 +174,6 @@ def truncated_hom_dimension(
         raise QuiverError("coefficient table belongs to a different quiver")
     if truncation < 0:
         raise QuiverError("truncation must be nonnegative")
-    paths = enumerate_paths(quiver, source, target, truncation, cap=path_cap)
 
     def coeff(path: Path):
         # nonzero over the rationals is not enough: the value must stay
@@ -210,12 +190,12 @@ def truncated_hom_dimension(
         # f(rps) rps - f(rqs) rqs, so padding never adds new relations; each
         # f(p_0) p_0 = f(p_k) p_k ties one more path to the first, so the
         # relations have rank one less than the path count
-        if len(paths) > 1:
-            for path in paths:
+        path_count = count_paths(quiver, source, target, truncation, path_cap)
+        if path_count > 1 and isinstance(field, PrimeField) and not table.base.is_trivial:
+            for path in enumerate_paths(quiver, source, target, truncation, path_cap):
                 coeff(path)  # raises if it vanishes in the field
-        rank = max(len(paths) - 1, 0)
+        rank = max(path_count - 1, 0)
     else:
-        solver = _TwoTermRank(len(paths), field)
         memo = table._memo
 
         def walks(a: str, b: str) -> list[tuple[tuple[str, ...], int]]:
@@ -237,7 +217,9 @@ def truncated_hom_dimension(
                 found = memo[key] = coeff(Path(a, arrows, b))
             return found
 
-        index = {p.arrows: k for k, p in enumerate(paths)}
+        index = {arrows: k for k, (arrows, _) in enumerate(walks(source, target))}
+        path_count = len(index)
+        solver = _TwoTermRank(path_count, field)
         seen: set[tuple[int, int, object]] = set()
         for a in quiver.vertices:
             heads = walks(source, a)
@@ -287,20 +269,18 @@ def truncated_hom_dimension(
                                 solver.relate(i, j, fp, fq)
         rank = solver.rank()
 
-    dimension = len(paths) - rank
+    dimension = path_count - rank
     if dimension > 1:
         raise InternalInvariantError(
             f"truncated dimension {dimension} exceeds 1 at "
             f"({source!r}, {target!r}); relations are missing"
         )
 
-    distance = _bfs_distance(quiver, source, target)
-    if table.is_multiplicative:
-        certified = distance is None or truncation >= distance
-    else:
-        certified = dimension == 0 and (len(paths) > 0 or distance is None)
+    # a reachable target has a path of length at most n - 1
+    reached = path_count > 0 or not count_paths(quiver, source, target, quiver.n - 1)
+    certified = reached and (table.is_multiplicative or dimension == 0)
     return TruncatedQuotientReport(
-        source, target, truncation, len(paths), rank, dimension, certified
+        source, target, truncation, path_count, rank, dimension, certified
     )
 
 

@@ -15,6 +15,7 @@ __all__ = [
     "Quiver",
     "compose",
     "is_parallel",
+    "count_paths",
     "enumerate_paths",
     "to_dot",
 ]
@@ -178,6 +179,37 @@ def is_parallel(p: Path, q: Path) -> bool:
     return p.start == q.start and p.end == q.end
 
 
+def count_paths(
+    quiver: Quiver, source: str, target: str, max_length: int, cap: int | None = None
+) -> int:
+    """Number of paths from ``source`` to ``target`` of length at most ``max_length``.
+
+    Counts walks per end vertex and length, up to the first length with none.
+    With ``cap`` set, raises TruncationOverflowError at the first length where
+    the walks of that length from ``source`` or the matches so far exceed it.
+    """
+    quiver.check_vertex(source)
+    quiver.check_vertex(target)
+    if max_length < 0:
+        raise QuiverError("max_length must be nonnegative")
+    frontier = {source: 1}
+    matches = int(source == target)
+    for length in range(1, max_length + 1):
+        previous, frontier = frontier, {}
+        for at, walks in previous.items():
+            for arrow in quiver.arrows_from[at]:
+                frontier[arrow.target] = frontier.get(arrow.target, 0) + walks
+        if not frontier:
+            break
+        matches += frontier.get(target, 0)
+        if cap is not None and (sum(frontier.values()) > cap or matches > cap):
+            raise TruncationOverflowError(
+                f"path count from {source!r} to {target!r} exceeds cap {cap} "
+                f"at length {length}"
+            )
+    return matches
+
+
 def enumerate_paths(
     quiver: Quiver,
     source: str,
@@ -188,34 +220,21 @@ def enumerate_paths(
     """All paths from ``source`` to ``target`` of length at most ``max_length``.
 
     Ordered by length, then lexicographically by arrow declaration order.  The
-    length-0 path appears exactly when source == target.  With ``cap`` set, a
-    TruncationOverflowError is raised as soon as either the matches or the
-    working frontier exceed it.
+    length-0 path appears exactly when source == target.  ``count_paths``
+    checks the arguments and the cap before any path is built.
     """
-    quiver.check_vertex(source)
-    quiver.check_vertex(target)
-    if max_length < 0:
-        raise QuiverError("max_length must be nonnegative")
-    results: list[Path] = []
+    count_paths(quiver, source, target, max_length, cap)
     frontier = [quiver.vertex_path(source)]
-    if source == target:
-        results.append(frontier[0])
+    results = frontier[:] if source == target else []
     for _ in range(max_length):
-        nxt: list[Path] = []
-        for path in frontier:
-            for arrow in quiver.arrows_from[path.end]:
-                extended = Path(path.start, path.arrows + (arrow.name,), arrow.target)
-                nxt.append(extended)
-                if arrow.target == target:
-                    results.append(extended)
-                if cap is not None and (len(nxt) > cap or len(results) > cap):
-                    raise TruncationOverflowError(
-                        f"path count from {source!r} to {target!r} exceeds cap {cap} "
-                        f"at length {len(extended)}"
-                    )
-        frontier = nxt
+        frontier = [
+            Path(path.start, path.arrows + (arrow.name,), arrow.target)
+            for path in frontier
+            for arrow in quiver.arrows_from[path.end]
+        ]
         if not frontier:
             break
+        results += [path for path in frontier if path.end == target]
     return results
 
 

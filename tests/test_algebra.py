@@ -53,6 +53,23 @@ def test_kronecker_dimensions(kronecker):
         assert alg.block_pattern == ((True, True), (False, True))
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_block_pattern_is_a_view_built_when_first_read(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 30)
+    alg = commuting_algebra(random_sparse_quiver(n, rng.randint(0, min(45, n * n)), rng))
+    assert "block_pattern" not in vars(alg)
+    # the eager definition a build used to run
+    order, rows = alg.component_order, alg.condensation.rows
+    eager = tuple(tuple(bool(rows[ci] >> cj & 1) for cj in order) for ci in order)
+    assert alg.block_pattern == eager
+    # and it agrees with the vertex pattern at each block's first vertex
+    firsts = [alg.order[k] for k in itertools.accumulate((0,) + alg.block_sizes[:-1])]
+    assert alg.block_pattern == tuple(
+        tuple(bool(alg.hom_dimension(v, w)) for w in firsts) for v in firsts
+    )
+
+
 def test_hom_dimension_values(two_block):
     alg = commuting_algebra(two_block)
     assert alg.hom_dimension("v1", "v6") == 1

@@ -84,6 +84,14 @@ def test_composite_requires_related():
         rep.composite(1, 2)  # b and c are incomparable
 
 
+@pytest.mark.parametrize("i, j", [(0, -1), (-1, 2), (0, 3)])
+def test_composite_rejects_out_of_range_indices(i, j):
+    # a negative index would shift by a negative count or read another row
+    rep = projective(chain(3), "x0")
+    with pytest.raises(QuiverError, match=rf"indices \({i}, {j}\) out of range for 3 elements"):
+        rep.composite(i, j)
+
+
 def test_morphism_validation():
     p = chain(2)
     s = simple(p, "x0")

@@ -1,3 +1,5 @@
+import hashlib
+import io
 import random
 from fractions import Fraction
 
@@ -15,6 +17,8 @@ from commalg import (
     truncated_hom_dimension,
     vertex_nondegeneracy,
 )
+from commalg.cli import run
+from commalg.examples import TWO_BLOCK_DSL
 from commalg.linalg import Mat
 from commalg.oracle import _TwoTermRank
 from commalg.quiver import Path, Quiver, enumerate_paths
@@ -392,3 +396,31 @@ def test_memo_tells_apart_trivial_path_coefficients():
     assert len(pattern_report(q, 2, table)) == 4
     with pytest.raises(QuiverError, match=r"Path\(w\) vanishes in F5"):
         pattern_report(q, 2, table, field=PrimeField(5))
+
+
+def test_weights_whose_product_is_one_never_vanish_mod_p():
+    # a and b each vanish or blow up mod 3, but no counted path carries
+    # one without the other: both paths s -> t have value 1
+    q = Quiver(["s", "m", "t"], [("a", "s", "m"), ("b", "m", "t"), ("c", "s", "t")],
+               weights={"a": 3, "b": Fraction(1, 3)})
+    table = GeneralCoefficientTable.multiplicative(q, CoefficientFunction.from_quiver(q))
+    report = truncated_hom_dimension(q, table, "s", "t", 2, field=PrimeField(3))
+    assert (report.path_count, report.dimension, report.certified) == (2, 1, True)
+
+
+# stdout of `verify -` on TWO_BLOCK_DSL, the same over rat and fp:1000003,
+# recorded while the oracle still enumerated every pair's paths
+TWO_BLOCK_VERIFY_SHA256 = "a477df0b442a49b2627e1342de587835202c4f4b08635995dd9a3ec59122631d"
+
+
+@pytest.mark.parametrize("field", ["rat", "fp:1000003"])
+def test_verify_builds_no_path_in_the_oracle(field, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        pytest.fail("the oracle built a path")
+
+    monkeypatch.setattr("commalg.oracle.enumerate_paths", refuse)
+    monkeypatch.setattr("commalg.oracle.Path", refuse)
+    monkeypatch.setattr("sys.stdin", io.StringIO(TWO_BLOCK_DSL))
+    assert run(["verify", "--field", field, "-"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == TWO_BLOCK_VERIFY_SHA256

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from commalg import (
     is_parallel,
     to_dot,
 )
+from commalg.quiver import count_paths
 from commalg.randgen import random_quiver
 
 
@@ -151,6 +153,83 @@ def test_enumerate_paths_cap():
     q = Quiver(["v"], [("a", "v", "v"), ("b", "v", "v")])
     with pytest.raises(TruncationOverflowError):
         enumerate_paths(q, "v", "v", 30, cap=100)
+
+
+def _reference_paths(quiver, source, target, max_length, cap):
+    """The frontier enumeration that held the cap rule before ``count_paths``.
+
+    Kept as it stood, in-loop cap check included, as the rule both functions
+    must still follow.
+    """
+    results = []
+    frontier = [quiver.vertex_path(source)]
+    if source == target:
+        results.append(frontier[0])
+    for _ in range(max_length):
+        nxt = []
+        for path in frontier:
+            for arrow in quiver.arrows_from[path.end]:
+                extended = Path(path.start, path.arrows + (arrow.name,), arrow.target)
+                nxt.append(extended)
+                if arrow.target == target:
+                    results.append(extended)
+                if cap is not None and (len(nxt) > cap or len(results) > cap):
+                    raise TruncationOverflowError(
+                        f"path count from {source!r} to {target!r} exceeds cap {cap} "
+                        f"at length {len(extended)}"
+                    )
+        frontier = nxt
+        if not frontier:
+            break
+    return results
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except TruncationOverflowError as error:
+        return str(error)
+
+
+CAPS = [None, 0, 1, 2, 3, 5, 8, 13, 40, 200]
+
+
+def test_count_and_enumerate_follow_the_reference_cap_rule():
+    rng = random.Random(20)
+    overflows = 0
+    for _ in range(2500):
+        n = rng.randint(1, 5)
+        q = random_quiver(n, rng.randint(0, 2 * n), rng)
+        s, t = rng.choice(q.vertices), rng.choice(q.vertices)
+        args = (q, s, t, rng.randint(0, 7), rng.choice(CAPS))
+        expected = _outcome(_reference_paths, *args)
+        if isinstance(expected, str):
+            overflows += 1
+            assert _outcome(count_paths, *args) == expected
+            assert _outcome(enumerate_paths, *args) == expected
+        else:
+            assert count_paths(*args) == len(expected)
+            assert enumerate_paths(*args) == expected
+    assert 300 <= overflows <= 2200
+
+
+def test_cap_zero_at_a_sink_keeps_its_trivial_path():
+    # the match count is 1 > 0, but no walk leaves the source, so no length
+    # is ever reached at which the cap could be checked
+    q = Quiver(["s", "w"], [("a", "w", "s")])
+    assert count_paths(q, "s", "s", 3, 0) == 1
+    assert enumerate_paths(q, "s", "s", 3, cap=0) == [q.vertex_path("s")]
+    assert _outcome(count_paths, q, "w", "w", 3, 0) == (
+        "path count from 'w' to 'w' exceeds cap 0 at length 1"
+    )
+
+
+def test_count_paths_checks_its_arguments(triangle_quiver):
+    with pytest.raises(QuiverError):
+        count_paths(triangle_quiver, "zz", "v1", 2)
+    with pytest.raises(QuiverError):
+        count_paths(triangle_quiver, "v1", "v1", -1)
+    assert count_paths(triangle_quiver, "v1", "v1", 0) == 1
 
 
 def test_enumerate_paths_unknown_vertex(triangle_quiver):
