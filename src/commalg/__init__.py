@@ -7,140 +7,25 @@ skeleton and incidence model, homological invariants of the skeleton, and
 ships a brute-force truncated oracle plus a CLI for all of it.
 """
 
-from .algebra import (
-    AlgebraElement,
-    CoefficientFunction,
-    CommutingAlgebra,
-    NormalizedBasisEntry,
-    QuasiCommutingAlgebra,
-    commuting_algebra,
-    quasi_commuting_algebra,
-    quasi_structure_constant,
-)
-from .dsl import parse_quiver, to_dsl
-from .errors import (
-    InternalInvariantError,
-    ParseError,
-    QuiverError,
-    TruncationOverflowError,
-)
-from .fields import QQ, PrimeField, RationalField, parse_field
-from .homology import (
-    PosetRepresentation,
-    RepMorphism,
-    Resolution,
-    global_dimension,
-    minimal_resolution,
-    projective,
-    projective_cover,
-    projective_dimension,
-    simple,
-)
-from .oracle import (
-    GeneralCoefficientTable,
-    TruncatedQuotientReport,
-    pattern_equivalence,
-    pattern_report,
-    truncated_hom_dimension,
-    vertex_nondegeneracy,
-)
-from .poset import (
-    HasseDiagram,
-    IncidenceAlgebra,
-    Poset,
-    Skeleton,
-    SkeletonIsomorphism,
-    end_hom_dims,
-    hasse,
-    hasse_quiver,
-    idempotence_check,
-    incidence_algebra,
-    skeleton,
-    skeleton_iso_incidence,
-)
-from .quiver import (
-    Arrow,
-    Path,
-    Quiver,
-    compose,
-    enumerate_paths,
-    is_parallel,
-    to_dot,
-)
-from .structure import (
-    ComponentPartition,
-    CondensationOrder,
-    ReachabilityPattern,
-    condensation,
-    consistent_ordering,
-    longest_chain,
-    path_components,
-    reachability,
-    topological_component_order,
-)
+from .algebra import *
+from .dsl import *
+from .errors import *
+from .fields import *
+from .homology import *
+from .oracle import *
+from .poset import *
+from .quiver import *
+from .structure import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraElement",
-    "Arrow",
-    "CoefficientFunction",
-    "CommutingAlgebra",
-    "ComponentPartition",
-    "CondensationOrder",
-    "GeneralCoefficientTable",
-    "HasseDiagram",
-    "IncidenceAlgebra",
-    "InternalInvariantError",
-    "NormalizedBasisEntry",
-    "ParseError",
-    "Path",
-    "Poset",
-    "PosetRepresentation",
-    "PrimeField",
-    "QQ",
-    "QuasiCommutingAlgebra",
-    "Quiver",
-    "QuiverError",
-    "RationalField",
-    "ReachabilityPattern",
-    "RepMorphism",
-    "Resolution",
-    "Skeleton",
-    "SkeletonIsomorphism",
-    "TruncatedQuotientReport",
-    "TruncationOverflowError",
-    "commuting_algebra",
-    "compose",
-    "condensation",
-    "consistent_ordering",
-    "end_hom_dims",
-    "enumerate_paths",
-    "global_dimension",
-    "hasse",
-    "hasse_quiver",
-    "idempotence_check",
-    "incidence_algebra",
-    "is_parallel",
-    "longest_chain",
-    "minimal_resolution",
-    "parse_field",
-    "parse_quiver",
-    "path_components",
-    "pattern_equivalence",
-    "pattern_report",
-    "projective",
-    "projective_cover",
-    "projective_dimension",
-    "quasi_commuting_algebra",
-    "quasi_structure_constant",
-    "reachability",
-    "simple",
-    "skeleton",
-    "skeleton_iso_incidence",
-    "to_dot",
-    "to_dsl",
-    "topological_component_order",
-    "truncated_hom_dimension",
-    "vertex_nondegeneracy",
-]
+__all__: list[str] = []
+__all__ += algebra.__all__
+__all__ += dsl.__all__
+__all__ += errors.__all__
+__all__ += fields.__all__
+__all__ += homology.__all__
+__all__ += oracle.__all__
+__all__ += poset.__all__
+__all__ += quiver.__all__
+__all__ += structure.__all__

@@ -76,23 +76,21 @@ class _Stream:
             self.pos += 1
         return tok
 
-    def expect_punct(self, text: str) -> _Token:
+    def expect(self, kind: str, text: str | None = None, what: str | None = None) -> _Token:
+        """Consume a token of ``kind`` (and ``text``, if given) or raise."""
         tok = self.peek()
-        if tok.kind != "punct" or tok.text != text:
-            raise ParseError(f"expected {text!r}, found {_describe(tok)}", tok.line, tok.column)
+        if tok.kind != kind or (text is not None and tok.text != text):
+            wanted = what or repr(text)
+            raise ParseError(f"expected {wanted}, found {_describe(tok)}", tok.line, tok.column)
         return self.next()
 
-    def expect_ident(self, what: str = "identifier") -> _Token:
+    def accept(self, text: str) -> bool:
+        """Consume the punctuation ``text`` if it comes next."""
         tok = self.peek()
-        if tok.kind != "ident":
-            raise ParseError(f"expected {what}, found {_describe(tok)}", tok.line, tok.column)
-        return self.next()
-
-    def expect_keyword(self, word: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text != word:
-            raise ParseError(f"expected {word!r}, found {_describe(tok)}", tok.line, tok.column)
-        return self.next()
+        if tok.kind == "punct" and tok.text == text:
+            self.next()
+            return True
+        return False
 
 
 def _describe(tok: _Token) -> str:
@@ -100,19 +98,10 @@ def _describe(tok: _Token) -> str:
 
 
 def _parse_rational(stream: _Stream) -> tuple[Fraction, _Token]:
-    num_tok = stream.peek()
-    if num_tok.kind != "int":
-        raise ParseError(f"expected a rational number, found {_describe(num_tok)}",
-                         num_tok.line, num_tok.column)
-    stream.next()
+    num_tok = stream.expect("int", what="a rational number")
     value = Fraction(int(num_tok.text))
-    if stream.peek().kind == "punct" and stream.peek().text == "/":
-        stream.next()
-        den_tok = stream.peek()
-        if den_tok.kind != "int":
-            raise ParseError(f"expected a denominator, found {_describe(den_tok)}",
-                             den_tok.line, den_tok.column)
-        stream.next()
+    if stream.accept("/"):
+        den_tok = stream.expect("int", what="a denominator")
         den = int(den_tok.text)
         if den <= 0:
             raise ParseError("denominator must be a positive integer",
@@ -124,58 +113,53 @@ def _parse_rational(stream: _Stream) -> tuple[Fraction, _Token]:
 def parse_quiver(text: str) -> Quiver:
     """Parse DSL text into a Quiver; errors carry line and column."""
     stream = _Stream(_tokenize(text))
-    stream.expect_keyword("quiver")
-    name = stream.expect_ident("quiver name").text
-    stream.expect_punct("{")
+    stream.expect("ident", "quiver")
+    name = stream.expect("ident", what="quiver name").text
+    stream.expect("punct", "{")
 
-    stream.expect_keyword("vertices")
-    stream.expect_punct(":")
+    stream.expect("ident", "vertices")
+    stream.expect("punct", ":")
     vertices: list[str] = []
     positions: dict[str, _Token] = {}
     while True:
-        tok = stream.expect_ident("vertex identifier")
+        tok = stream.expect("ident", what="vertex identifier")
         if tok.text in positions:
             raise ParseError(f"duplicate vertex identifier {tok.text!r}", tok.line, tok.column)
         positions[tok.text] = tok
         vertices.append(tok.text)
-        nxt = stream.peek()
-        if nxt.kind == "punct" and nxt.text == ",":
-            stream.next()
-            continue
-        break
-    stream.expect_punct(";")
+        if not stream.accept(","):
+            break
+    stream.expect("punct", ";")
 
     arrows: list[Arrow] = []
     weights: dict[str, Fraction] = {}
     arrow_names: set[str] = set()
-    while not (stream.peek().kind == "punct" and stream.peek().text == "}"):
-        name_tok = stream.expect_ident("arrow identifier")
+    while not stream.accept("}"):
+        name_tok = stream.expect("ident", what="arrow identifier")
         if name_tok.text in arrow_names:
             raise ParseError(f"duplicate arrow identifier {name_tok.text!r}",
                              name_tok.line, name_tok.column)
-        stream.expect_punct(":")
-        src_tok = stream.expect_ident("source vertex")
+        stream.expect("punct", ":")
+        src_tok = stream.expect("ident", what="source vertex")
         if src_tok.text not in positions:
             raise ParseError(f"undeclared vertex {src_tok.text!r}", src_tok.line, src_tok.column)
-        stream.expect_punct("->")
-        tgt_tok = stream.expect_ident("target vertex")
+        stream.expect("punct", "->")
+        tgt_tok = stream.expect("ident", what="target vertex")
         if tgt_tok.text not in positions:
             raise ParseError(f"undeclared vertex {tgt_tok.text!r}", tgt_tok.line, tgt_tok.column)
-        if stream.peek().kind == "punct" and stream.peek().text == "[":
-            stream.next()
-            stream.expect_keyword("weight")
-            stream.expect_punct("=")
+        if stream.accept("["):
+            stream.expect("ident", "weight")
+            stream.expect("punct", "=")
             value, value_tok = _parse_rational(stream)
             if value == 0:
                 raise ParseError("weight must be nonzero", value_tok.line, value_tok.column)
-            stream.expect_punct("]")
+            stream.expect("punct", "]")
             if value != 1:
                 weights[name_tok.text] = value
-        stream.expect_punct(";")
+        stream.expect("punct", ";")
         arrow_names.add(name_tok.text)
         arrows.append(Arrow(name_tok.text, src_tok.text, tgt_tok.text))
 
-    stream.expect_punct("}")
     tail = stream.peek()
     if tail.kind != "eof":
         raise ParseError(f"unexpected trailing input {_describe(tail)}", tail.line, tail.column)

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["QuiverError", "ParseError", "TruncationOverflowError", "InternalInvariantError"]
+
 
 class QuiverError(ValueError):
     """Invalid input: malformed quiver, path, table, or request."""

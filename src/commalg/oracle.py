@@ -51,8 +51,8 @@ class GeneralCoefficientTable:
     """Path coefficients: tabulated exceptions over a multiplicative base.
 
     Any path not listed in ``exceptions`` gets the product of its arrow
-    weights.  Listed values must be nonzero and listed paths must be valid
-    in the quiver.
+    weights.  Base weights must name arrows of the quiver, listed values must
+    be nonzero and listed paths must be valid in the quiver.
     """
 
     quiver: Quiver
@@ -64,6 +64,10 @@ class GeneralCoefficientTable:
     )
 
     def __post_init__(self):
+        arrow_names = {a.name for a in self.quiver.arrows}
+        for name in self.base.weights:
+            if name not in arrow_names:
+                raise QuiverError(f"weight given for unknown arrow {name!r}")
         cleaned = {}
         for path, value in self.exceptions.items():
             rebuilt = self.quiver.path(path.start, path.arrows)

@@ -192,6 +192,8 @@ def count_paths(
     quiver.check_vertex(target)
     if max_length < 0:
         raise QuiverError("max_length must be nonnegative")
+    if cap is not None and cap < 0:
+        raise QuiverError("path cap must be nonnegative")
     frontier = {source: 1}
     matches = int(source == target)
     for length in range(1, max_length + 1):

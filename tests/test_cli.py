@@ -200,6 +200,19 @@ def test_verify_truncation_too_small(two_block_file, capsys):
     assert code == 1 and "error:" in err
 
 
+@pytest.mark.parametrize("dsl", [
+    "quiver Q { vertices: a; }\n",
+    "quiver Q { vertices: a, b; x: a -> b; y: b -> a; }\n",
+])
+def test_verify_rejects_a_negative_path_cap(dsl, tmp_path, capsys):
+    # with and without an arrow to walk: the cap is checked before any count
+    path = tmp_path / "q.quiver"
+    path.write_text(dsl)
+    code, out, err = run_cli(["verify", "--path-cap", "-3", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: path cap must be nonnegative\n"
+
+
 def test_random_roundtrip(capsys):
     code, out, _ = run_cli(
         ["random", "--vertices", "5", "--arrows", "9", "--seed", "7"], capsys

@@ -76,6 +76,40 @@ def test_error_syntax():
     assert "end of input" in str(e)
 
 
+# one failure per expected token: keyword, punctuation, each identifier
+# role and each number, pinned as full message, line and column
+@pytest.mark.parametrize("text, message, line, column", [
+    ("graph Q { vertices: v; }", "expected 'quiver', found 'graph'", 1, 1),
+    ("quiver { vertices: v; }", "expected quiver name, found '{'", 1, 8),
+    ("quiver Q vertices: v; }", "expected '{', found 'vertices'", 1, 10),
+    ("quiver Q { edges: v; }", "expected 'vertices', found 'edges'", 1, 12),
+    ("quiver Q { vertices v; }", "expected ':', found 'v'", 1, 21),
+    ("quiver Q { vertices: ; }", "expected vertex identifier, found ';'", 1, 22),
+    ("quiver Q { vertices: v w; }", "expected ';', found 'w'", 1, 24),
+    ("quiver Q {\n  vertices: v;\n  -> v;\n}",
+     "expected arrow identifier, found '->'", 3, 3),
+    ("quiver Q {\n  vertices: v;\n",
+     "expected arrow identifier, found end of input", 3, 1),
+    ("quiver Q { vertices: v; a v -> v; }", "expected ':', found 'v'", 1, 27),
+    ("quiver Q { vertices: v; a: ; }", "expected source vertex, found ';'", 1, 28),
+    ("quiver Q { vertices: v; a: v v; }", "expected '->', found 'v'", 1, 30),
+    ("quiver Q { vertices: v; a: v -> ; }", "expected target vertex, found ';'", 1, 33),
+    ("quiver Q { vertices: v; a: v -> v [wt = 2]; }",
+     "expected 'weight', found 'wt'", 1, 36),
+    ("quiver Q { vertices: v; a: v -> v [weight 2]; }", "expected '=', found '2'", 1, 43),
+    ("quiver Q { vertices: v; a: v -> v [weight = x]; }",
+     "expected a rational number, found 'x'", 1, 45),
+    ("quiver Q { vertices: v; a: v -> v [weight = 1/]; }",
+     "expected a denominator, found ']'", 1, 47),
+    ("quiver Q { vertices: v; a: v -> v [weight = 2; }", "expected ']', found ';'", 1, 46),
+    ("quiver Q { vertices: v; a: v -> v [weight = 2] }", "expected ';', found '}'", 1, 48),
+])
+def test_expected_token_messages(text, message, line, column):
+    e = _err(text)
+    assert str(e) == f"line {line}, column {column}: {message}"
+    assert (e.line, e.column) == (line, column)
+
+
 def test_error_unexpected_character():
     e = _err("quiver Q { vertices: v; a: v @ v; }")
     assert "'@'" in str(e)

@@ -76,6 +76,16 @@ def test_table_validation():
         truncated_hom_dimension(q, GeneralCoefficientTable.trivial(q), "v", "x", -1)
 
 
+def test_table_rejects_base_weights_on_unknown_arrows():
+    q = Quiver(["v", "w"], [("a", "v", "w"), ("b", "v", "w")])
+    with pytest.raises(QuiverError, match="weight given for unknown arrow 'zz'"):
+        GeneralCoefficientTable(q, CoefficientFunction({"zz": 5}), {})
+    with pytest.raises(QuiverError, match="weight given for unknown arrow 'zz'"):
+        GeneralCoefficientTable.multiplicative(q, CoefficientFunction({"a": 2, "zz": 5}))
+    table = GeneralCoefficientTable(q, CoefficientFunction({"a": 5}), {})
+    assert table.base.weights == {"a": 5}
+
+
 def test_table_value_exception_overrides_base():
     q = two_routes()
     f = CoefficientFunction({"a": 5})

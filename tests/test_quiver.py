@@ -232,6 +232,17 @@ def test_count_paths_checks_its_arguments(triangle_quiver):
     assert count_paths(triangle_quiver, "v1", "v1", 0) == 1
 
 
+@pytest.mark.parametrize("walk", [count_paths, enumerate_paths])
+def test_negative_cap_is_rejected_with_or_without_an_out_arrow(walk):
+    # "s" has an out-arrow, "w" has none: both refuse before any walk is counted
+    q = Quiver(["s", "w"], [("a", "s", "w")])
+    for source in ("s", "w"):
+        with pytest.raises(QuiverError, match="path cap must be nonnegative") as exc:
+            walk(q, source, "w", 3, -1)
+        assert not isinstance(exc.value, TruncationOverflowError)
+    assert walk(q, "w", "w", 3, None) and walk(q, "w", "w", 3, 0)
+
+
 def test_enumerate_paths_unknown_vertex(triangle_quiver):
     with pytest.raises(QuiverError):
         enumerate_paths(triangle_quiver, "v1", "zz", 2)
