@@ -54,6 +54,13 @@ class CoefficientFunction:
             cleaned[name] = value
         object.__setattr__(self, "weights", cleaned)
 
+    def check_arrows(self, quiver: Quiver) -> None:
+        """Raise QuiverError if a weight names an arrow ``quiver`` lacks."""
+        arrow_names = {a.name for a in quiver.arrows}
+        for name in self.weights:
+            if name not in arrow_names:
+                raise QuiverError(f"weight given for unknown arrow {name!r}")
+
     @classmethod
     def trivial(cls) -> "CoefficientFunction":
         return cls({})
@@ -317,6 +324,7 @@ def quasi_commuting_algebra(
     quiver: Quiver, f: CoefficientFunction, field=QQ
 ) -> QuasiCommutingAlgebra:
     """Commuting algebra with coefficient twist f, and its change of basis."""
+    f.check_arrows(quiver)
     algebra = CommutingAlgebra(quiver, field)
     entries = []
     for v in quiver.vertices:

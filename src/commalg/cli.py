@@ -34,10 +34,14 @@ __all__ = ["main", "run"]
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise QuiverError(f"input is not UTF-8: byte {exc.object[exc.start]:#04x} "
+                          f"at offset {exc.start}") from None
 
 
 def _emit(text: str, out: str | None) -> None:

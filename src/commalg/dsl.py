@@ -14,7 +14,6 @@ The format:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError, QuiverError
@@ -22,111 +21,99 @@ from .quiver import Arrow, Quiver
 
 __all__ = ["parse_quiver", "to_dsl"]
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+# whitespace and comments match no named group; "->" is tried before "-5"
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<comment>#[^\n]*)"
-    r"|(?P<arrowop>->)"
+    r"\s+|#[^\n]*"
+    r"|(?P<punct>->|[{}:;,\[\]=/])"
     r"|(?P<int>-?\d+)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<punct>[{}:;,\[\]=/])"
+    rf"|(?P<ident>{_IDENT})"
+    r"|(?P<bad>.)"
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident", "int", "punct", "eof"; punct tokens carry their text
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        pos = 0
-        while pos < len(line):
-            m = _TOKEN_RE.match(line, pos)
-            if m is None:
-                raise ParseError(f"unexpected character {line[pos]!r}", lineno, pos + 1)
-            kind = m.lastgroup
-            if kind == "comment":
-                break
-            if kind != "ws":
-                if kind == "arrowop":
-                    kind = "punct"
-                tokens.append(_Token(kind, m.group(), lineno, pos + 1))
-            pos = m.end()
-    last_line = text.count("\n") + 1
-    tokens.append(_Token("eof", "", last_line, len(text.split("\n")[-1]) + 1))
-    return tokens
-
-
 class _Stream:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    """(kind, text, offset) tokens: "ident", "int", "punct" (its text is the
+    punctuation) or a last "eof" at offset len(text)."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = []
+        for m in _TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            if kind is not None:
+                tok = (kind, m.group(), m.start())
+                if kind == "bad":
+                    raise self.error(f"unexpected character {tok[1]!r}", tok)
+                self.tokens.append(tok)
+        self.tokens.append(("eof", "", len(text)))
         self.pos = 0
 
-    def peek(self) -> _Token:
+    def error(self, message: str, tok: tuple) -> ParseError:
+        """The error at ``tok``: lines end at "\\n", columns count from 1."""
+        offset = tok[2]
+        line = self.text.count("\n", 0, offset) + 1
+        return ParseError(message, line, offset - self.text.rfind("\n", 0, offset))
+
+    def peek(self) -> tuple:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
+    def next(self) -> tuple:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.pos += 1
         return tok
 
-    def expect(self, kind: str, text: str | None = None, what: str | None = None) -> _Token:
+    def expect(self, kind: str, text: str | None = None, what: str | None = None) -> tuple:
         """Consume a token of ``kind`` (and ``text``, if given) or raise."""
         tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
+        if tok[0] != kind or (text is not None and tok[1] != text):
             wanted = what or repr(text)
-            raise ParseError(f"expected {wanted}, found {_describe(tok)}", tok.line, tok.column)
+            raise self.error(f"expected {wanted}, found {_describe(tok)}", tok)
         return self.next()
 
     def accept(self, text: str) -> bool:
         """Consume the punctuation ``text`` if it comes next."""
         tok = self.peek()
-        if tok.kind == "punct" and tok.text == text:
+        if tok[0] == "punct" and tok[1] == text:
             self.next()
             return True
         return False
 
 
-def _describe(tok: _Token) -> str:
-    return "end of input" if tok.kind == "eof" else repr(tok.text)
+def _describe(tok: tuple) -> str:
+    return "end of input" if tok[0] == "eof" else repr(tok[1])
 
 
-def _parse_rational(stream: _Stream) -> tuple[Fraction, _Token]:
+def _parse_rational(stream: _Stream) -> tuple[Fraction, tuple]:
     num_tok = stream.expect("int", what="a rational number")
-    value = Fraction(int(num_tok.text))
+    value = Fraction(int(num_tok[1]))
     if stream.accept("/"):
         den_tok = stream.expect("int", what="a denominator")
-        den = int(den_tok.text)
+        den = int(den_tok[1])
         if den <= 0:
-            raise ParseError("denominator must be a positive integer",
-                             den_tok.line, den_tok.column)
-        value = Fraction(int(num_tok.text), den)
+            raise stream.error("denominator must be a positive integer", den_tok)
+        value = Fraction(int(num_tok[1]), den)
     return value, num_tok
 
 
 def parse_quiver(text: str) -> Quiver:
     """Parse DSL text into a Quiver; errors carry line and column."""
-    stream = _Stream(_tokenize(text))
+    stream = _Stream(text)
     stream.expect("ident", "quiver")
-    name = stream.expect("ident", what="quiver name").text
+    name = stream.expect("ident", what="quiver name")[1]
     stream.expect("punct", "{")
 
     stream.expect("ident", "vertices")
     stream.expect("punct", ":")
     vertices: list[str] = []
-    positions: dict[str, _Token] = {}
+    declared: set[str] = set()
     while True:
         tok = stream.expect("ident", what="vertex identifier")
-        if tok.text in positions:
-            raise ParseError(f"duplicate vertex identifier {tok.text!r}", tok.line, tok.column)
-        positions[tok.text] = tok
-        vertices.append(tok.text)
+        if tok[1] in declared:
+            raise stream.error(f"duplicate vertex identifier {tok[1]!r}", tok)
+        declared.add(tok[1])
+        vertices.append(tok[1])
         if not stream.accept(","):
             break
     stream.expect("punct", ";")
@@ -136,38 +123,36 @@ def parse_quiver(text: str) -> Quiver:
     arrow_names: set[str] = set()
     while not stream.accept("}"):
         name_tok = stream.expect("ident", what="arrow identifier")
-        if name_tok.text in arrow_names:
-            raise ParseError(f"duplicate arrow identifier {name_tok.text!r}",
-                             name_tok.line, name_tok.column)
+        if name_tok[1] in arrow_names:
+            raise stream.error(f"duplicate arrow identifier {name_tok[1]!r}", name_tok)
         stream.expect("punct", ":")
         src_tok = stream.expect("ident", what="source vertex")
-        if src_tok.text not in positions:
-            raise ParseError(f"undeclared vertex {src_tok.text!r}", src_tok.line, src_tok.column)
+        if src_tok[1] not in declared:
+            raise stream.error(f"undeclared vertex {src_tok[1]!r}", src_tok)
         stream.expect("punct", "->")
         tgt_tok = stream.expect("ident", what="target vertex")
-        if tgt_tok.text not in positions:
-            raise ParseError(f"undeclared vertex {tgt_tok.text!r}", tgt_tok.line, tgt_tok.column)
+        if tgt_tok[1] not in declared:
+            raise stream.error(f"undeclared vertex {tgt_tok[1]!r}", tgt_tok)
         if stream.accept("["):
             stream.expect("ident", "weight")
             stream.expect("punct", "=")
             value, value_tok = _parse_rational(stream)
             if value == 0:
-                raise ParseError("weight must be nonzero", value_tok.line, value_tok.column)
+                raise stream.error("weight must be nonzero", value_tok)
             stream.expect("punct", "]")
-            if value != 1:
-                weights[name_tok.text] = value
+            weights[name_tok[1]] = value
         stream.expect("punct", ";")
-        arrow_names.add(name_tok.text)
-        arrows.append(Arrow(name_tok.text, src_tok.text, tgt_tok.text))
+        arrow_names.add(name_tok[1])
+        arrows.append(Arrow(name_tok[1], src_tok[1], tgt_tok[1]))
 
     tail = stream.peek()
-    if tail.kind != "eof":
-        raise ParseError(f"unexpected trailing input {_describe(tail)}", tail.line, tail.column)
+    if tail[0] != "eof":
+        raise stream.error(f"unexpected trailing input {_describe(tail)}", tail)
     return Quiver(vertices, arrows, weights, name=name)
 
 
 def _check_ident(text: str, what: str) -> str:
-    if not _IDENT_RE.fullmatch(text):
+    if not re.fullmatch(_IDENT, text):
         raise QuiverError(f"{what} {text!r} is not a valid identifier")
     return text
 

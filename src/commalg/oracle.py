@@ -64,10 +64,7 @@ class GeneralCoefficientTable:
     )
 
     def __post_init__(self):
-        arrow_names = {a.name for a in self.quiver.arrows}
-        for name in self.base.weights:
-            if name not in arrow_names:
-                raise QuiverError(f"weight given for unknown arrow {name!r}")
+        self.base.check_arrows(self.quiver)
         cleaned = {}
         for path, value in self.exceptions.items():
             rebuilt = self.quiver.path(path.start, path.arrows)

@@ -272,6 +272,12 @@ def test_quasi_commuting_kronecker(kronecker):
         quasi.entry("w", "v")
 
 
+def test_quasi_commuting_rejects_weights_on_unknown_arrows():
+    q = Quiver(["v", "w"], [("a", "v", "w")])
+    with pytest.raises(QuiverError, match="weight given for unknown arrow 'zz'"):
+        quasi_commuting_algebra(q, CoefficientFunction({"zz": 5}))
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_quasi_commuting_random(seed):
     rng = random.Random(seed)

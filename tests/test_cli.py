@@ -387,3 +387,26 @@ def test_field_is_rejected_where_output_ignores_it(command, two_block_file, caps
         run([command, "--field", "fp:2", two_block_file])
     assert exc.value.code == 2
     assert "unrecognized arguments: --field" in capsys.readouterr().err
+
+
+NOT_UTF8 = b"quiver Q { vertices: v\xff; }"
+
+
+def test_file_not_utf8_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.quiver"
+    bad.write_bytes(NOT_UTF8)
+    code, out, err = run_cli(["parse", str(bad)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: input is not UTF-8: byte 0xff at offset 22\n"
+
+
+def test_strict_stdin_not_utf8_exit_code(monkeypatch, capsys):
+    import io
+
+    stdin = io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8", errors="strict")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, out, err = run_cli(["parse", "-"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: input is not UTF-8: byte 0xff at offset 22\n"

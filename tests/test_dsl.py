@@ -1,3 +1,5 @@
+import ast
+import re
 from fractions import Fraction
 
 import pytest
@@ -103,6 +105,13 @@ def test_error_syntax():
      "expected a denominator, found ']'", 1, 47),
     ("quiver Q { vertices: v; a: v -> v [weight = 2; }", "expected ']', found ';'", 1, 46),
     ("quiver Q { vertices: v; a: v -> v [weight = 2] }", "expected ';', found '}'", 1, 48),
+    # the scanner's own positions: a bad character, "\r\n" and tabs, a
+    # comment that runs to the end of the text
+    ("quiver Q { vertices: v; a: v @ v; }", "unexpected character '@'", 1, 30),
+    ("quiver Q {\r\n  vertices: v;\r\n  a: v -> w;\r\n}\r\n",
+     "undeclared vertex 'w'", 3, 11),
+    ("quiver Q {\n\tvertices: v;\n\ta: v -> w;\n}\n", "undeclared vertex 'w'", 3, 10),
+    ("quiver Q { # no newline", "expected 'vertices', found end of input", 1, 24),
 ])
 def test_expected_token_messages(text, message, line, column):
     e = _err(text)
@@ -153,3 +162,50 @@ def test_to_dsl_shape(triangle_quiver):
     assert lines[1].strip().startswith("vertices:")
     assert lines[-1] == "}"
     assert text.endswith("\n")
+
+
+_MUTATIONS = list("{}:;,[]=/->#0'\"\t\r\x0c") + ["\u00e9", "\r\n"]
+_QUOTED = re.compile(r"(?:found|character|identifier|vertex|input) ('.*'|\".*\")$")
+
+
+def _mutated_corpus(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        q = random_quiver(rng.randint(1, 6), rng.randint(0, 8), rng)
+        text = to_dsl(Quiver(q.vertices, q.arrows, random_weights(q, rng).weights,
+                             name=q.name))
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randint(0, len(text))
+            if rng.random() < 0.6:
+                text = text[:at] + rng.choice(_MUTATIONS) + text[at:]
+            else:
+                text = text[:at] + text[at + rng.randint(1, 3):]
+        yield text
+
+
+def _assert_points_at_token(text, e):
+    message = str(e).split(": ", 1)[1]
+    lines = text.split("\n")
+    assert 1 <= e.line <= len(lines) and 1 <= e.column <= len(lines[e.line - 1]) + 1
+    offset = sum(len(line) + 1 for line in lines[:e.line - 1]) + e.column - 1
+    quoted = _QUOTED.search(message)
+    if message.endswith("end of input"):
+        assert offset == len(text), (text, str(e))
+    elif quoted:
+        token = ast.literal_eval(quoted.group(1))
+        assert text.startswith(token, offset), (text, str(e))
+    else:
+        assert message in ("weight must be nonzero",
+                           "denominator must be a positive integer"), message
+        assert text[offset] == "-" or text[offset].isdigit(), (text, str(e))
+
+
+def test_error_positions_point_at_the_token():
+    errors = 0
+    for text in _mutated_corpus(2500, seed=10):
+        try:
+            parse_quiver(text)
+        except ParseError as e:
+            errors += 1
+            _assert_points_at_token(text, e)
+    assert errors > 1000
