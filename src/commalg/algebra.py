@@ -21,7 +21,7 @@ from typing import Mapping
 from .errors import InternalInvariantError, QuiverError
 from .fields import QQ
 from .quiver import Path, Quiver, compose
-from .structure import (ReachabilityPattern, _block_values, _of_rows, reachability,
+from .structure import (ReachabilityPattern, _bits, _of_rows, reachability,
                         topological_component_order)
 
 __all__ = [
@@ -107,45 +107,37 @@ class CommutingAlgebra:
         self.component_order = order = topological_component_order(cond)
         blocks = [self.partition.components[ci] for ci in order]
         self.order = tuple(v for block in blocks for v in block)
-        self.block_sizes = tuple(map(len, blocks))
-        offsets = [0, *accumulate(self.block_sizes)]
-        masks = [((1 << d) - 1) << offsets[b] for b, d in enumerate(self.block_sizes)]
-        rows: list[int] = []
-        for ci, size in zip(order, self.block_sizes):
-            rows += [sum(m for m, cj in zip(masks, order) if cond.rows[ci] >> cj & 1)] * size
-        self.pattern = _of_rows(ReachabilityPattern, order=self.order, rows=tuple(rows))
-        self._verify_block_form(offsets, masks)
+        sizes = self.block_sizes = tuple(map(len, blocks))
+        masks = [((1 << d) - 1) << o for d, o in zip(sizes, accumulate(sizes, initial=0))]
+        position = {ci: b for b, ci in enumerate(order)}  # component -> block
+        block_rows = [sum(masks[position[cj]] for cj in _bits(cond.rows[ci])) for ci in order]
+        rows = tuple(row for row, d in zip(block_rows, sizes) for _ in range(d))
+        self.pattern = _of_rows(ReachabilityPattern, order=self.order, rows=rows)
+        closure = [base_pattern.rows[base_pattern.index[block[0]]] for block in blocks]
+        self._verify_block_form(masks, block_rows, closure)
 
     @cached_property
     def block_pattern(self) -> tuple[tuple[bool, ...], ...]:
         order, rows = self.component_order, self.condensation.rows
         return tuple(tuple(bool(rows[ci] >> cj & 1) for cj in order) for ci in order)
 
-    def _verify_block_form(self, offsets: list[int], masks: list[int]) -> None:
-        """Check the block shape of the pattern really holds; bugs only."""
-        rows, order, related = self.pattern.rows, self.component_order, self.condensation.rows
-        for bi in range(len(masks)):
-            values = _block_values(rows[offsets[bi]:offsets[bi + 1]], masks)
-            for bj, value in enumerate(values):
-                if value is None:
-                    raise InternalInvariantError(
-                        f"block ({bi}, {bj}) is neither all-true nor all-false"
-                    )
-                if bi == bj and not value:
-                    raise InternalInvariantError(f"diagonal block {bi} is not full")
-                if value != related[order[bi]] >> order[bj] & 1:
-                    raise InternalInvariantError(
-                        f"block ({bi}, {bj}) disagrees with the component pattern"
-                    )
-                if value and bi > bj:
-                    raise InternalInvariantError(
-                        "pattern is not block upper triangular under the "
-                        "topological component order"
-                    )
-                if value and bi != bj and related[order[bj]] >> order[bi] & 1:
-                    raise InternalInvariantError(
-                        f"blocks ({bi}, {bj}) and ({bj}, {bi}) are both nonzero"
-                    )
+    @staticmethod
+    def _verify_block_form(masks: list[int], block_rows: list[int], closure: list[int]) -> None:
+        """Check each block row in topological order; bugs only.
+
+        ``closure`` holds the closure row of each block's first vertex.  The
+        condensation has checked the closure's block shape and antisymmetry.
+        """
+        earlier = 0
+        for b, (mask, row, closure_row) in enumerate(zip(masks, block_rows, closure)):
+            if row & mask != mask:
+                raise InternalInvariantError(f"diagonal block {b} is not full")
+            if row & earlier:
+                raise InternalInvariantError("pattern is not block upper triangular "
+                                             "under the topological component order")
+            if row.bit_count() != closure_row.bit_count():
+                raise InternalInvariantError(f"block row {b} disagrees with the closure")
+            earlier |= mask
 
     def over(self, field) -> "CommutingAlgebra":
         """The same algebra with scalars in ``field``; nothing is recomputed."""

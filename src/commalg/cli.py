@@ -34,11 +34,14 @@ __all__ = ["main", "run"]
 
 
 def _read_input(path: str) -> str:
+    """The input's bytes, from a file or stdin alike, decoded strictly as UTF-8."""
+    if path == "-":
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
     try:
-        if path == "-":
-            return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise QuiverError(f"input is not UTF-8: byte {exc.object[exc.start]:#04x} "
                           f"at offset {exc.start}") from None

@@ -6,10 +6,10 @@ matrices are only constructor input, converted and checked in full by
 ``_rows``, and views (``bits``, ``relation``, ``Poset.leq``) built when
 first read.  The path components are read off the closure: in a preorder
 two vertices reach each other exactly when their rows are equal.  A closure
-built here is checked at component level (each member row meets every
-component all or not at all, and the component relation is a partial
-order), which implies the vertex-level preorder; the skeleton's poset
-shares those component rows.
+built here is checked once, at component level, by ``condensation``: each
+member row meets every component all or not at all, and the component
+relation is a partial order.  This implies the vertex-level preorder and is
+the one check of the block shape; the skeleton's poset shares those rows.
 """
 
 from __future__ import annotations
@@ -93,13 +93,22 @@ def _closure(n: int, pairs: Iterable[tuple[int, int]]) -> Rows:
     return tuple(rows)
 
 
-def _block_values(rows: Sequence[int], masks: Sequence[int]) -> list[bool | None]:
-    """Per mask: True if every row contains it, False if none meets it, else None."""
-    differ = 0
+def _component_row(i: int, rows: Sequence[int], masks: Sequence[int],
+                   owner: dict[int, int]) -> int:
+    """Row of component i: the components that all its member ``rows`` meet in full."""
+    rest, out = rows[0], 0  # read off the first row's set bits, one test per component
+    while rest:
+        j = owner[(rest & -rest).bit_length() - 1]
+        if rest & masks[j] != masks[j]:
+            break  # rest keeps the part of component j that the row meets
+        rest ^= masks[j]
+        out |= 1 << j
     for row in rows:
-        differ |= row ^ rows[0]
-    return [None if differ & m or (rows[0] & m) not in (0, m) else rows[0] & m == m
-            for m in masks]
+        rest |= row ^ rows[0]
+    if rest:
+        raise InternalInvariantError(f"reachability between components {i} and "
+                                     f"{owner[next(_bits(rest))]} depends on the representative")
+    return out
 
 
 def _topological_order(rows: Rows) -> tuple[int, ...]:
@@ -283,23 +292,19 @@ def condensation(
 ) -> CondensationOrder:
     """Component-level relation, checked to be a partial order.
 
-    Every member row must meet each component all or not at all, so the
-    relation does not depend on the representative.
+    This is where a closure's block shape is checked: every member row must
+    meet each component all or not at all (``_component_row``).
     """
     index = pattern.index
     try:
-        masks = [sum(1 << index[v] for v in comp) for comp in partition.components]
+        members = [[index[v] for v in comp] for comp in partition.components]
     except KeyError as exc:
         raise QuiverError(f"unknown vertex {exc.args[0]!r}") from None
-    rows = []
-    for i, comp in enumerate(partition.components):
-        related = _block_values([pattern.rows[index[u]] for u in comp], masks)
-        if None in related:
-            raise InternalInvariantError(
-                f"reachability between components {i} and {related.index(None)} "
-                "depends on the representative"
-            )
-        rows.append(sum(1 << j for j, r in enumerate(related) if r))
+    masks = [sum(1 << j for j in js) for js in members]
+    owner = {j: c for c, js in enumerate(members) for j in js}
+    covered = sum(masks)  # bits of vertices outside the partition are ignored
+    rows = [_component_row(i, [pattern.rows[j] & covered for j in js], masks, owner)
+            for i, js in enumerate(members)]
     _check_preorder(rows, InternalInvariantError, "condensation", antisymmetric=True)
     return _of_rows(CondensationOrder, rows=tuple(rows))
 

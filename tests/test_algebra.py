@@ -14,7 +14,7 @@ from commalg import (
     quasi_commuting_algebra,
     quasi_structure_constant,
 )
-from commalg import structure
+from commalg import algebra as algebra_module, structure
 from commalg.quiver import Arrow, Quiver, compose
 from commalg.randgen import random_quiver, random_sparse_quiver, random_weights
 
@@ -352,3 +352,80 @@ def test_a_build_closes_once_and_checks_only_component_rows(monkeypatch):
     assert len(alg.block_sizes) < q.n
     assert closures == [q.n]
     assert checked == [len(alg.block_sizes)]
+
+
+CHAIN = (("x", "a", "b"), ("y", "b", "c"))
+
+
+@pytest.mark.parametrize("arrows, dropped, message", [
+    pytest.param(CHAIN, ("c", "c"), "condensation must be reflexive", id="reflexive"),
+    pytest.param(CHAIN, ("a", "c"), "condensation must be transitive", id="transitive"),
+    pytest.param((("x", "a", "b"), ("y", "b", "a"), ("z", "b", "c")), ("a", "c"),
+                 "condensation must be antisymmetric: 0 and 1", id="antisymmetric"),
+    pytest.param((("x", "a", "b"), ("y", "b", "a")), ("b", "a"),
+                 "pattern misses arrow 'y'", id="arrow"),
+    pytest.param((("x", "a", "b"), ("y", "b", "c"), ("z", "c", "a")), ("b", "a"),
+                 "reachability between components 1 and 0 depends on the representative",
+                 id="representative"),
+])
+def test_each_wrong_closure_raises_its_message(monkeypatch, arrows, dropped, message):
+    q = Quiver("abc", [Arrow(*arrow) for arrow in arrows])
+    closure = structure._closure
+    i, j = (q.vertex_index[v] for v in dropped)
+
+    def wrong(n, pairs):
+        rows = list(closure(n, pairs))
+        rows[i] &= ~(1 << j)
+        return tuple(rows)
+
+    monkeypatch.setattr(structure, "_closure", wrong)
+    with pytest.raises(InternalInvariantError, match=message):
+        commuting_algebra(q)
+
+
+@pytest.mark.parametrize("flipped, message", [
+    pytest.param((1, 1), "diagonal block 1 is not full", id="diagonal"),
+    pytest.param((0, 2), "block row 0 disagrees with the closure", id="closure"),
+    pytest.param((2, 0), "order relation has a cycle", id="cycle"),
+])
+def test_each_wrong_condensation_row_raises_its_message(monkeypatch, flipped, message):
+    # the condensation's rows are changed after its own checks have passed, so
+    # only the algebra's checks of the rows it builds stand in the way
+    reachability = algebra_module.reachability
+
+    def wrong(quiver):
+        pattern = reachability(quiver)
+        rows = list(pattern.condensation.rows)
+        rows[flipped[0]] ^= 1 << flipped[1]
+        pattern.__dict__["condensation"] = structure._of_rows(
+            structure.CondensationOrder, rows=tuple(rows))
+        return pattern
+
+    q = Quiver("abc", [Arrow(*arrow) for arrow in CHAIN])
+    monkeypatch.setattr(algebra_module, "reachability", wrong)
+    with pytest.raises(InternalInvariantError, match=message):
+        commuting_algebra(q)
+
+
+def test_a_reversed_component_order_is_not_block_upper_triangular(monkeypatch):
+    order = algebra_module.topological_component_order
+    monkeypatch.setattr(algebra_module, "topological_component_order",
+                        lambda cond: order(cond)[::-1])
+    q = Quiver("abc", [Arrow(*arrow) for arrow in CHAIN])
+    with pytest.raises(InternalInvariantError, match="not block upper triangular"):
+        commuting_algebra(q)
+
+
+def test_a_build_tests_each_component_block_shape_once(monkeypatch):
+    q = random_sparse_quiver(60, 120, random.Random(60))
+    tested = []
+    component_row = structure._component_row
+
+    def counted(i, rows, *args):
+        tested.append(i)
+        return component_row(i, rows, *args)
+
+    monkeypatch.setattr(structure, "_component_row", counted)
+    alg = commuting_algebra(q)
+    assert len(alg.block_sizes) < q.n
+    assert tested == list(range(len(alg.block_sizes)))

@@ -252,7 +252,7 @@ def test_deterministic_output(two_block_file, capsys):
 def test_stdin_input(monkeypatch, capsys):
     import io
 
-    monkeypatch.setattr(sys, "stdin", io.StringIO(TWO_BLOCK_DSL))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(TWO_BLOCK_DSL.encode())))
     code, out, _ = run_cli(["components", "-"], capsys)
     assert code == 0
     assert json.loads(out)["components"][1] == ["v5", "v6"]
@@ -410,3 +410,28 @@ def test_strict_stdin_not_utf8_exit_code(monkeypatch, capsys):
     assert code == 1
     assert out == ""
     assert err == "error: input is not UTF-8: byte 0xff at offset 22\n"
+
+
+def test_surrogateescape_stdin_not_utf8_exit_code(monkeypatch, capsys):
+    # stdin is read as bytes, so the locale's error handler does not matter
+    import io
+
+    stdin = io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8",
+                             errors="surrogateescape")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, out, err = run_cli(["parse", "-"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: input is not UTF-8: byte 0xff at offset 22\n"
+
+
+def test_lone_cr_is_not_a_line_end_in_a_file_or_on_stdin(tmp_path, monkeypatch, capsys):
+    import io
+
+    text = b"quiver Q {\r  vertices: v;\r  a: v -> w;\r}\r"
+    expected = "error: line 1, column 37: undeclared vertex 'w'\n"
+    path = tmp_path / "cr.quiver"
+    path.write_bytes(text)
+    assert run_cli(["parse", str(path)], capsys) == (1, "", expected)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text)))
+    assert run_cli(["parse", "-"], capsys) == (1, "", expected)

@@ -59,7 +59,7 @@ def golden_digest(monkeypatch, capsys) -> str:
     digest = hashlib.sha256()
 
     def record(argv, stdin=""):
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin.encode())))
         code = run(argv)
         captured = capsys.readouterr()
         digest.update(json.dumps([argv, code, captured.out, captured.err]).encode())

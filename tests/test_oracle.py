@@ -430,7 +430,7 @@ def test_verify_builds_no_path_in_the_oracle(field, monkeypatch, capsys):
 
     monkeypatch.setattr("commalg.oracle.enumerate_paths", refuse)
     monkeypatch.setattr("commalg.oracle.Path", refuse)
-    monkeypatch.setattr("sys.stdin", io.StringIO(TWO_BLOCK_DSL))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(TWO_BLOCK_DSL.encode())))
     assert run(["verify", "--field", field, "-"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == TWO_BLOCK_VERIFY_SHA256
