@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .algebra import commuting_algebra
 from .dsl import parse_quiver, to_dsl
@@ -247,6 +248,7 @@ def _cmd_random(args) -> str:
     return to_dsl(random_quiver(args.vertices, args.arrows, args.seed))
 
 
+@cache  # built once per process: building costs far more than parsing
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="commalg",

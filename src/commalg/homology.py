@@ -7,6 +7,14 @@ projective covers; the number of steps is bounded by the longest chain of
 the poset, so no projective dimension, and hence not the global
 dimension, exceeds the number of elements in that chain minus one.  All
 linear algebra is exact over the rationals.
+
+Work lives on the support, the elements of nonzero dimension: a resolution
+term is supported on the up-set of its tops, so most of it is zero.
+Composites are stored and checked for route independence on the support
+only, where a route through a zero space counts as the zero map, and no
+morphism check or kernel map multiplies through a zero space.  That every
+related pair has a cover route depends only on the order, so
+``Poset.lower_covers`` checks it once per poset.
 """
 
 from __future__ import annotations
@@ -61,31 +69,26 @@ class PosetRepresentation:
 
     @cached_property
     def _composites(self) -> dict[tuple[int, int], Mat]:
-        """Composite map for every related pair; raises if route-dependent."""
-        rows = self.poset.rows
-        out: dict[tuple[int, int], Mat] = {}
-        for i in range(len(self.poset)):
-            out[(i, i)] = Mat.identity(self.dims[i])
-        for j in self.poset.linear_extension():
-            incoming = [pair for pair in self.maps if pair[1] == j]
-            for i in range(len(self.poset)):
+        """Composite map for every related pair in the support; raises if route-dependent."""
+        poset, dims, maps = self.poset, self.dims, self.maps
+        rows, lower = poset.rows, poset.lower_covers
+        support = [i for i, d in enumerate(dims) if d]
+        out = {(i, i): Mat.identity(dims[i]) for i in support}
+        for j in poset.linear_extension():
+            if not dims[j]:
+                continue
+            for i in support:
                 if i == j or not rows[i] >> j & 1:
                     continue
-                candidate = None
-                for (y, _) in incoming:
-                    if not rows[i] >> y & 1:
-                        continue
-                    via = self.maps[(y, j)] @ out[(i, y)]
-                    if candidate is None:
-                        candidate = via
-                    elif candidate != via:
-                        raise QuiverError(
-                            f"maps from {self.poset.elements[i]!r} to "
-                            f"{self.poset.elements[j]!r} depend on the route"
-                        )
-                if candidate is None:
-                    raise InternalInvariantError("related pair with no cover route")
-                out[(i, j)] = candidate
+                # a route through a zero space is the zero map
+                vias = [maps[(y, j)] @ out[(i, y)] if dims[y] else Mat(dims[j], dims[i])
+                        for y in lower[j] if rows[i] >> y & 1]
+                if any(via != vias[0] for via in vias):
+                    raise QuiverError(
+                        f"maps from {poset.elements[i]!r} to "
+                        f"{poset.elements[j]!r} depend on the route"
+                    )
+                out[(i, j)] = vias[0]
         return out
 
     def composite(self, i: int, j: int) -> Mat:
@@ -95,7 +98,9 @@ class PosetRepresentation:
             raise QuiverError(f"indices ({i}, {j}) out of range for {m} elements")
         if not self.poset.rows[i] >> j & 1:
             raise QuiverError("composite requires related elements")
-        return self._composites[(i, j)]
+        if (i, j) in self._composites:
+            return self._composites[(i, j)]
+        return Mat(self.dims[j], self.dims[i])
 
     def total_dim(self) -> int:
         return sum(self.dims)
@@ -105,7 +110,7 @@ class PosetRepresentation:
 
     def radical_generators(self, j: int) -> Mat:
         """Columns spanning the radical at j: images of the cover maps into j."""
-        blocks = (self.maps[pair] for pair in sorted(self.maps) if pair[1] == j)
+        blocks = (self.maps[(y, j)] for y in self.poset.lower_covers[j] if self.dims[y])
         return reduce(Mat.hstack, blocks, Mat(self.dims[j], 0))
 
 
@@ -127,6 +132,8 @@ class RepMorphism:
             if blk.nrows != self.target.dims[i] or blk.ncols != self.source.dims[i]:
                 raise QuiverError(f"block {i} has the wrong shape")
         for (i, j), src_map in self.source.maps.items():
+            if not (self.source.dims[i] and self.target.dims[j]):
+                continue  # both sides are the empty map
             lhs = self.target.maps[(i, j)] @ self.blocks[i]
             rhs = self.blocks[j] @ src_map
             if lhs != rhs:
@@ -143,10 +150,8 @@ class RepMorphism:
         """Kernel subrepresentation with its inclusion."""
         bases = [blk.kernel_basis() for blk in self.blocks]
         dims = tuple(b.ncols for b in bases)
-        maps = {}
-        for (i, j), src_map in self.source.maps.items():
-            pushed = src_map @ bases[i]
-            maps[(i, j)] = bases[j].solve(pushed)
+        maps = {(i, j): bases[j].solve(src_map @ bases[i]) if dims[i] and dims[j]
+                else Mat(dims[j], dims[i]) for (i, j), src_map in self.source.maps.items()}
         rep = PosetRepresentation(self.source.poset, dims, maps)
         incl = RepMorphism(rep, self.source, tuple(bases))
         return rep, incl
@@ -155,7 +160,8 @@ class RepMorphism:
         """self after inner."""
         if inner.target is not self.source and inner.target != self.source:
             raise QuiverError("composition endpoints do not match")
-        blocks = tuple(a @ b for a, b in zip(self.blocks, inner.blocks))
+        blocks = tuple(a @ b if a.nrows and b.ncols else Mat(a.nrows, b.ncols)
+                       for a, b in zip(self.blocks, inner.blocks))
         return RepMorphism(inner.source, self.target, blocks)
 
 
@@ -213,8 +219,6 @@ def projective_cover(rep: PosetRepresentation) -> ProjectiveCover:
         if d == 0:
             continue
         rad = rep.radical_generators(x)
-        if rad.rank() == d:
-            continue
         # e_c is chosen iff it lies outside span(radical, e_0 .. e_{c-1})
         _, pivots = rad.hstack(Mat.identity(d)).rref()
         summands += [(x, c - rad.ncols) for c in pivots if c >= rad.ncols]

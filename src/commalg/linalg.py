@@ -2,7 +2,8 @@
 
 Matrices are small here (tens of rows), so plain row reduction with exact
 arithmetic is enough.  Pivots are chosen as the first nonzero entry, never
-by magnitude: there is no rounding to stabilize.
+by magnitude: there is no rounding to stabilize.  An entry is tested for
+zero by its truth value, which both coefficient fields define.
 """
 
 from __future__ import annotations
@@ -33,6 +34,13 @@ class Mat:
             self.rows = [[field.element(x) for x in r] for r in rows]
 
     @classmethod
+    def _owning(cls, rows: list[list], ncols: int, field) -> "Mat":
+        """A matrix over rows this module built from elements of ``field``."""
+        out = cls.__new__(cls)
+        out.nrows, out.ncols, out.rows, out.field = len(rows), ncols, rows, field
+        return out
+
+    @classmethod
     def identity(cls, n: int, field=QQ) -> "Mat":
         out = cls(n, n, field=field)
         for i in range(n):
@@ -58,30 +66,24 @@ class Mat:
     def hstack(self, other: "Mat") -> "Mat":
         if other.nrows != self.nrows:
             raise InternalInvariantError("hstack with differing row counts")
-        return Mat(
-            self.nrows,
-            self.ncols + other.ncols,
-            [self.rows[i] + other.rows[i] for i in range(self.nrows)],
-            field=self.field,
-        )
+        rows = [a + b for a, b in zip(self.rows, other.rows)]
+        if other.field != self.field:
+            return Mat(self.nrows, self.ncols + other.ncols, rows, field=self.field)
+        return Mat._owning(rows, self.ncols + other.ncols, self.field)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows:
             raise InternalInvariantError("matmul shape mismatch")
-        zero = self.field.zero
         out = Mat(self.nrows, other.ncols, field=self.field)
-        for i in range(self.nrows):
-            row = self.rows[i]
-            acc = out.rows[i]
-            for k in range(self.ncols):
-                x = row[k]
-                if x == zero:
+        if not self.ncols:
+            return out
+        for row, acc in zip(self.rows, out.rows):
+            for x, other_row in zip(row, other.rows):
+                if not x:
                     continue
-                other_row = other.rows[k]
-                for j in range(other.ncols):
-                    y = other_row[j]
-                    if y != zero:
-                        acc[j] = acc[j] + x * y
+                for j, y in enumerate(other_row):
+                    if y:
+                        acc[j] = acc[j] + x * y if acc[j] else x * y
         return out
 
     def __eq__(self, other) -> bool:
@@ -97,8 +99,7 @@ class Mat:
         return f"Mat({self.nrows}x{self.ncols})"
 
     def is_zero(self) -> bool:
-        zero = self.field.zero
-        return all(x == zero for row in self.rows for x in row)
+        return not any(map(any, self.rows))
 
     def copy_rows(self) -> list[list]:
         return [list(r) for r in self.rows]
@@ -106,20 +107,19 @@ class Mat:
     def _eliminate(self) -> tuple[list[list], list[int]]:
         """Reduced row echelon form of a copy; returns (rows, pivot columns)."""
         rows = self.copy_rows()
-        zero = self.field.zero
         pivots: list[int] = []
         r = 0
         for c in range(self.ncols):
-            pivot = next((i for i in range(r, self.nrows) if rows[i][c] != zero), None)
+            pivot = next((i for i in range(r, self.nrows) if rows[i][c]), None)
             if pivot is None:
                 continue
             rows[r], rows[pivot] = rows[pivot], rows[r]
             inv = self.field.one / rows[r][c]
-            rows[r] = [x * inv for x in rows[r]]
+            rows[r] = [x * inv if x else x for x in rows[r]]
             for i in range(self.nrows):
-                if i != r and rows[i][c] != zero:
+                if i != r and rows[i][c]:
                     factor = rows[i][c]
-                    rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+                    rows[i] = [a - factor * b if b else a for a, b in zip(rows[i], rows[r])]
             pivots.append(c)
             r += 1
             if r == self.nrows:
@@ -131,8 +131,7 @@ class Mat:
 
     def rref(self) -> tuple["Mat", tuple[int, ...]]:
         rows, pivots = self._eliminate()
-        out = Mat(self.nrows, self.ncols, rows, field=self.field)
-        return out, tuple(pivots)
+        return Mat._owning(rows, self.ncols, self.field), tuple(pivots)
 
     def kernel_basis(self) -> "Mat":
         """Columns spanning the null space, one per free column of the rref."""
@@ -155,12 +154,11 @@ class Mat:
             raise InternalInvariantError("solve shape mismatch")
         aug = self.hstack(rhs)
         rows, pivots = aug._eliminate()
-        zero = self.field.zero
         for r in range(len(pivots)):
             if pivots[r] >= self.ncols:
                 raise InternalInvariantError("inconsistent linear system")
         for r in range(len(pivots), self.nrows):
-            if any(x != zero for x in rows[r][self.ncols:]):
+            if any(rows[r][self.ncols:]):
                 raise InternalInvariantError("inconsistent linear system")
         out = Mat(self.ncols, rhs.ncols, field=self.field)
         for r, pc in enumerate(pivots):

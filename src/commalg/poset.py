@@ -93,6 +93,19 @@ class Poset:
         return _covers(self.rows)
 
     @cached_property
+    def lower_covers(self) -> tuple[tuple[int, ...], ...]:
+        """The elements each element covers, ascending; checks that every
+        strict relation i < j ends in a cover (y, j) with i <= y."""
+        lower: list[list[int]] = [[] for _ in self.rows]
+        for i, j in self.covers:
+            lower[j].append(i)
+        ends = [sum(1 << y for y in ys) for ys in lower]
+        for i, row in enumerate(self.rows):
+            if any(not row & ends[j] for j in _bits(row & ~(1 << i))):
+                raise InternalInvariantError("related pair with no cover route")
+        return tuple(map(tuple, lower))
+
+    @cached_property
     def index(self) -> dict[str, int]:
         return {x: i for i, x in enumerate(self.elements)}
 
@@ -118,6 +131,10 @@ class Poset:
 
     def linear_extension(self) -> tuple[int, ...]:
         """Indices in a topological order compatible with leq (deterministic)."""
+        return self._extension
+
+    @cached_property
+    def _extension(self) -> tuple[int, ...]:
         return _topological_order(self.rows)
 
     def pairs(self) -> list[tuple[str, str]]:

@@ -268,6 +268,20 @@ def test_module_entry_point(two_block_file):
     assert json.loads(proc.stdout)["total_dimension"] == 28
 
 
+def test_alternating_runs_write_what_separate_processes_write(three_block_file, capsys):
+    # run reuses one parser for the process; no call may leak into the next
+    invocations = [
+        ["gldim", "--format", "pretty", three_block_file],
+        ["blockform", three_block_file],
+        ["gldim", three_block_file],
+    ]
+    for argv in invocations:
+        proc = subprocess.run([sys.executable, "-m", "commalg", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert run_cli(argv, capsys) == (0, proc.stdout, "")
+
+
 def test_module_entry_point_error():
     proc = subprocess.run(
         [sys.executable, "-m", "commalg", "parse", "-"],

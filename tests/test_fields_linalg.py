@@ -172,6 +172,18 @@ def test_mat_over_prime_field():
     assert k.ncols == 1 and (m @ k).is_zero()
 
 
+def test_empty_inner_product_and_mixed_field_hstack():
+    # an inner dimension of 0 gives the zero map of the outer shape
+    assert Mat(2, 0) @ Mat(0, 3) == Mat(2, 3)
+    with pytest.raises(InternalInvariantError):
+        Mat(2, 0) @ Mat(1, 3)
+    # hstack coerces the other side's entries into this matrix's field
+    f5 = PrimeField(5)
+    out = Mat(1, 1, [[1]], field=f5).hstack(Mat(1, 1, [[Fraction(1, 2)]]))
+    assert out.field == f5
+    assert out.rows == [[PrimeFieldElement(5, 1), PrimeFieldElement(5, 3)]]
+
+
 def test_from_columns_roundtrip():
     m = Mat(3, 2, [[1, 2], [3, 4], [5, 6]])
     assert Mat.from_columns(m.columns(), 3) == m

@@ -77,6 +77,67 @@ def test_functoriality_enforced():
     assert rep.composite(0, 3) == Mat(1, 1, [[1]])
 
 
+def test_route_through_a_zero_space_still_counts():
+    # a -> c -> d passes through the zero space at c, so it is the zero map
+    # and disagrees with a -> b -> d
+    p = diamond()
+    maps = {
+        (0, 1): Mat(1, 1, [[1]]),
+        (0, 2): Mat(0, 1),
+        (1, 3): Mat(1, 1, [[1]]),
+        (2, 3): Mat(1, 0),
+    }
+    with pytest.raises(QuiverError, match="route"):
+        PosetRepresentation(p, (1, 1, 0, 1), maps)
+    maps[(1, 3)] = Mat(1, 1, [[0]])
+    rep = PosetRepresentation(p, (1, 1, 0, 1), maps)
+    assert rep.composite(0, 3) == Mat(1, 1, [[0]])
+    into, out_of = rep.composite(0, 2), rep.composite(2, 3)
+    assert (into.nrows, into.ncols) == (0, 1)
+    assert (out_of.nrows, out_of.ncols) == (1, 0)
+    with pytest.raises(QuiverError):
+        rep.composite(1, 2)  # still incomparable
+
+
+def test_related_pair_with_no_cover_route_is_caught(monkeypatch):
+    # drop the cover x1 < x2 from the order's Hasse diagram: x0 < x2 and
+    # x1 < x2 are then related pairs no cover route reaches
+    p = chain(3)
+    monkeypatch.setitem(p.__dict__, "covers", ((0, 1),))
+    with pytest.raises(InternalInvariantError, match="related pair with no cover route"):
+        PosetRepresentation(p, (1, 1, 1), {(0, 1): Mat(1, 1, [[1]])})
+
+
+def rp2_face_poset():
+    """Face poset of the 6-vertex RP2 triangulation with a bottom and a top."""
+    triangles = ["123", "134", "145", "156", "126", "235", "245", "246", "346", "356"]
+    edges = sorted({t[a] + t[b] for t in triangles for a, b in ((0, 1), (0, 2), (1, 2))})
+    pairs = [("bot", f"p{v}") for v in "123456"]
+    pairs += [(f"p{v}", f"e{e}") for e in edges for v in e]
+    pairs += [(f"e{e}", f"t{t}") for t in triangles for e in edges if set(e) <= set(t)]
+    pairs += [(f"t{t}", "top") for t in triangles]
+    elements = ["bot", *(f"p{v}" for v in "123456"), *(f"e{e}" for e in edges),
+                *(f"t{t}" for t in triangles), "top"]
+    return Poset.from_pairs(elements, pairs)
+
+
+@pytest.mark.parametrize("poset, gldim", [(diamond(), 2), (rp2_face_poset(), 3)])
+def test_no_product_through_a_zero_space(monkeypatch, poset, gldim):
+    from commalg.homology import projective_dimensions
+
+    empty = []
+    matmul = Mat.__matmul__
+
+    def counting(a, b):
+        if not (a.nrows and a.ncols and b.nrows and b.ncols):
+            empty.append((a, b))
+        return matmul(a, b)
+
+    monkeypatch.setattr(Mat, "__matmul__", counting)
+    assert max(projective_dimensions(poset)) == gldim
+    assert empty == []
+
+
 def test_composite_requires_related():
     p = diamond()
     rep = projective(p, "a")
@@ -104,6 +165,13 @@ def test_morphism_validation():
         RepMorphism(proj, s, (Mat(1, 1),))  # wrong block count
     with pytest.raises(QuiverError):
         RepMorphism(proj, s, (Mat(2, 1), Mat(0, 1)))  # wrong shape
+
+
+def test_morphism_must_commute_on_nonzero_covers():
+    p = chain(2)
+    proj = projective(p, "x0")
+    with pytest.raises(InternalInvariantError, match=r"does not commute with the cover \(0, 1\)"):
+        RepMorphism(proj, proj, (Mat(1, 1, [[1]]), Mat(1, 1)))
 
 
 def test_morphism_kernel():
