@@ -14,7 +14,9 @@ Composites are stored and checked for route independence on the support
 only, where a route through a zero space counts as the zero map, and no
 morphism check or kernel map multiplies through a zero space.  That every
 related pair has a cover route depends only on the order, so
-``Poset.lower_covers`` checks it once per poset.
+``Poset.lower_covers`` checks it once per poset.  A kernel basis is the
+identity on its free rows, which hold the kernel coordinates: a kernel
+cover map is read off them, with no linear solve.
 """
 
 from __future__ import annotations
@@ -148,12 +150,12 @@ class RepMorphism:
 
     def kernel(self) -> tuple[PosetRepresentation, "RepMorphism"]:
         """Kernel subrepresentation with its inclusion."""
-        bases = [blk.kernel_basis() for blk in self.blocks]
-        dims = tuple(b.ncols for b in bases)
-        maps = {(i, j): bases[j].solve(src_map @ bases[i]) if dims[i] and dims[j]
+        spaces = [blk.null_space() for blk in self.blocks]
+        dims = tuple(len(free) for _, free in spaces)
+        maps = {(i, j): src_map.take_rows(spaces[j][1]) @ spaces[i][0] if dims[i] and dims[j]
                 else Mat(dims[j], dims[i]) for (i, j), src_map in self.source.maps.items()}
         rep = PosetRepresentation(self.source.poset, dims, maps)
-        incl = RepMorphism(rep, self.source, tuple(bases))
+        incl = RepMorphism(rep, self.source, tuple(basis for basis, _ in spaces))
         return rep, incl
 
     def compose(self, inner: "RepMorphism") -> "RepMorphism":

@@ -60,6 +60,9 @@ class Mat:
     def column(self, j: int) -> list:
         return [self.rows[i][j] for i in range(self.nrows)]
 
+    def take_rows(self, indices: Sequence[int]) -> "Mat":
+        return Mat._owning([list(self.rows[i]) for i in indices], self.ncols, self.field)
+
     def columns(self) -> list[list]:
         return [self.column(j) for j in range(self.ncols)]
 
@@ -133,20 +136,21 @@ class Mat:
         rows, pivots = self._eliminate()
         return Mat._owning(rows, self.ncols, self.field), tuple(pivots)
 
+    def null_space(self) -> tuple["Mat", tuple[int, ...]]:
+        """Null-space basis columns and the free columns of the rref; the basis
+        is the identity on the free rows, which hold a null vector's coordinates."""
+        rows, pivots = self._eliminate()
+        free = tuple(sorted(set(range(self.ncols)).difference(pivots)))
+        basis = Mat(self.ncols, len(free), field=self.field)
+        for k, c in enumerate(free):
+            basis.rows[c][k] = self.field.one
+            for r, pc in enumerate(pivots):
+                basis.rows[pc][k] = -rows[r][c]
+        return basis, free
+
     def kernel_basis(self) -> "Mat":
         """Columns spanning the null space, one per free column of the rref."""
-        rows, pivots = self._eliminate()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
-        zero, one = self.field.zero, self.field.one
-        columns = []
-        for c in free:
-            vec = [zero] * self.ncols
-            vec[c] = one
-            for r, pc in enumerate(pivots):
-                vec[pc] = -rows[r][c]
-            columns.append(vec)
-        return Mat.from_columns(columns, self.ncols, field=self.field)
+        return self.null_space()[0]
 
     def solve(self, rhs: "Mat") -> "Mat":
         """X with self @ X = rhs; raises if the system is inconsistent."""

@@ -237,15 +237,16 @@ def truncated_hom_dimension(
                     (arrows, length, memo_coeff(a, arrows, b))
                     for arrows, length in middles
                 ]
-                # walk lists are ordered by length: q is never shorter than p,
-                # and the first walk too long for the budget ends its loop
+                # walk lists run by length, then by arrow order: q is never
+                # shorter than p, the first walk too long for the budget ends
+                # its loop, and r p s comes before r q s in the index
                 shortest = heads[0][1] + tails[0][1]
                 for k, (pa, _, fp) in enumerate(middles):
                     for qa, lq, fq in middles[k + 1:]:
                         budget = truncation - lq
                         if budget < shortest:
                             break
-                        forward = backward = None  # fq / fp and fp / fq, on demand
+                        ratio = fq / fp  # the first head and tail fit, so it is used
                         for ra, lr in heads:
                             room = budget - lr
                             if room < 0:
@@ -254,20 +255,10 @@ def truncated_hom_dimension(
                             for sa, ls in tails:
                                 if ls > room:
                                     break
-                                i = index[rp + sa]
-                                j = index[rq + sa]
-                                if i > j:
-                                    if backward is None:
-                                        backward = fp / fq
-                                    key = (j, i, backward)
-                                else:
-                                    if forward is None:
-                                        forward = fq / fp
-                                    key = (i, j, forward)
-                                if key in seen:
-                                    continue
-                                seen.add(key)
-                                solver.relate(i, j, fp, fq)
+                                key = (index[rp + sa], index[rq + sa], ratio)
+                                if key not in seen:
+                                    seen.add(key)
+                                    solver.relate(key[0], key[1], fp, fq)
         rank = solver.rank()
 
     dimension = path_count - rank

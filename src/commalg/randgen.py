@@ -49,8 +49,8 @@ def random_sparse_quiver(
     rng = _rng(seed_or_rng)
     vertices = [f"v{i + 1}" for i in range(n_vertices)]
     all_pairs = [(s, t) for s in vertices for t in vertices]
-    if n_arrows > len(all_pairs):
-        raise QuiverError(f"at most {len(all_pairs)} distinct endpoint pairs exist")
+    if not 0 <= n_arrows <= len(all_pairs):
+        raise QuiverError(f"need 0 to {len(all_pairs)} arrows, one per distinct endpoint pair")
     chosen = rng.sample(all_pairs, n_arrows)
     arrows = [Arrow(f"a{k + 1}", s, t) for k, (s, t) in enumerate(chosen)]
     return Quiver(vertices, arrows, name=name)

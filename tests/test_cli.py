@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from commalg import parse_quiver
+from commalg import InternalInvariantError, parse_quiver
+from commalg import cli
 from commalg.cli import run
 from commalg.examples import THREE_BLOCK_DSL, TWO_BLOCK_DSL
 
@@ -449,3 +450,26 @@ def test_lone_cr_is_not_a_line_end_in_a_file_or_on_stdin(tmp_path, monkeypatch, 
     assert run_cli(["parse", str(path)], capsys) == (1, "", expected)
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text)))
     assert run_cli(["parse", "-"], capsys) == (1, "", expected)
+
+
+def _raise_internal(*args, **kwargs):
+    raise InternalInvariantError("stage broke")
+
+
+@pytest.mark.parametrize("command", ["skeleton", "incidence", "gldim", "verify"])
+def test_internal_error_exits_2_with_one_line(command, two_block_file, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "skeleton", _raise_internal)
+    code, out, err = run_cli([command, two_block_file], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "internal error: stage broke\n"
+
+
+def test_verify_reports_a_failed_iso_check(two_block_file, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "skeleton_iso_incidence", _raise_internal)
+    code, out, err = run_cli(["verify", "--format", "pretty", two_block_file], capsys)
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert "FAIL skeleton_iso_incidence" in lines
+    assert lines[-1] == "OVERALL FAIL"
+    assert sum(line.startswith("FAIL ") for line in lines) == 1

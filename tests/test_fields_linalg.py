@@ -221,3 +221,19 @@ def test_primality_matches_trial_division_below_5000():
         else:
             with pytest.raises(QuiverError):
                 PrimeField(p)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_null_space_is_the_identity_on_its_free_rows(seed):
+    rng = random.Random(seed)
+    field = QQ if seed % 2 else PrimeField(rng.choice([5, 7, 11]))
+    m = _random_mat(rng, rng.randint(0, 6), rng.randint(0, 7), field)
+    basis, free = m.null_space()
+    assert m.rank() + len(free) == m.ncols
+    assert (basis.nrows, basis.ncols) == (m.ncols, len(free))
+    assert basis.take_rows(free) == Mat.identity(len(free), field)
+    assert (m @ basis).is_zero()
+    assert m.kernel_basis() == basis
+    # a null vector's coordinates in the basis are its entries on the free rows
+    combo = _random_mat(rng, len(free), 2, field)
+    assert (basis @ combo).take_rows(free) == combo

@@ -138,6 +138,49 @@ def test_no_product_through_a_zero_space(monkeypatch, poset, gldim):
     assert empty == []
 
 
+SEEDED_POSETS = [pytest.param(rp2_face_poset(), id="rp2")] + [
+    pytest.param(random_poset(m, 1000 * m + s, 0.3), id=f"random_poset_{m}_{s}")
+    for m in (10, 14, 18) for s in range(2)
+]
+
+
+@pytest.mark.parametrize("poset", SEEDED_POSETS)
+def test_resolutions_solve_no_linear_system(monkeypatch, poset):
+    from commalg.homology import projective_dimensions
+
+    expected = projective_dimensions(poset)
+
+    def refuse(self, rhs):
+        raise AssertionError("a resolution solved a linear system")
+
+    monkeypatch.setattr(Mat, "solve", refuse)
+    assert projective_dimensions(poset) == expected
+
+
+@pytest.mark.parametrize("poset", SEEDED_POSETS)
+def test_kernel_maps_match_solving_for_the_coordinates(monkeypatch, poset):
+    kernels = []
+    kernel = RepMorphism.kernel
+
+    def recording(self):
+        rep, incl = kernel(self)
+        kernels.append((self, rep, incl))
+        return rep, incl
+
+    monkeypatch.setattr(RepMorphism, "kernel", recording)
+    for x in poset.elements:
+        minimal_resolution(poset, x)
+    assert kernels
+    for morphism, rep, incl in kernels:
+        bases = incl.blocks
+        for (i, j), src_map in morphism.source.maps.items():
+            if rep.dims[i] and rep.dims[j]:
+                # the reference: coordinates of the image in the kernel basis at j
+                assert rep.maps[(i, j)] == bases[j].solve(src_map @ bases[i])
+            else:
+                assert rep.maps[(i, j)].is_zero()
+
+
 def test_composite_requires_related():
     p = diamond()
     rep = projective(p, "a")

@@ -76,6 +76,13 @@ def test_table_validation():
         truncated_hom_dimension(q, GeneralCoefficientTable.trivial(q), "v", "x", -1)
 
 
+def test_table_rejects_a_path_that_ends_elsewhere():
+    q = two_routes()
+    wrong_end = Path("v", ("a",), "x")  # a runs v -> w
+    with pytest.raises(QuiverError, match="is not a path of the quiver"):
+        GeneralCoefficientTable(q, CoefficientFunction.trivial(), {wrong_end: 1})
+
+
 def test_table_rejects_base_weights_on_unknown_arrows():
     q = Quiver(["v", "w"], [("a", "v", "w"), ("b", "v", "w")])
     with pytest.raises(QuiverError, match="weight given for unknown arrow 'zz'"):
@@ -434,3 +441,27 @@ def test_verify_builds_no_path_in_the_oracle(field, monkeypatch, capsys):
     assert run(["verify", "--field", field, "-"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == TWO_BLOCK_VERIFY_SHA256
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_relations_run_from_the_earlier_walk(monkeypatch, seed):
+    # walk lists run by length, then by arrow order, so r p s precedes r q s
+    rng = random.Random(seed)
+    q = random_sparse_quiver(5, rng.randint(5, 9), rng)
+    walks = [p for v in q.vertices for w in q.vertices
+             for p in enumerate_paths(q, v, w, 3) if p.arrows]
+    exceptions = {p: Fraction(rng.choice([2, 3, -1, 5]))
+                  for p in rng.sample(walks, min(4, len(walks)))}
+    pairs = []
+    relate = _TwoTermRank.relate
+
+    def recording(self, i, j, a, b):
+        pairs.append((i, j))
+        return relate(self, i, j, a, b)
+
+    monkeypatch.setattr(_TwoTermRank, "relate", recording)
+    table = GeneralCoefficientTable(q, random_weights(q, rng), exceptions)
+    for field in (QQ, PrimeField(7)):  # no weight or exception has a factor 7
+        pattern_report(q, 4, table, field=field)
+    assert pairs
+    assert all(i < j for i, j in pairs)

@@ -44,6 +44,11 @@ def test_construction_validation():
         Quiver(["v"], [("a", "v", "v")], weights={"b": 2})
 
 
+def test_undeclared_source_vertex_is_rejected():
+    with pytest.raises(QuiverError, match="undeclared source vertex 'u'"):
+        Quiver(["v"], [("a", "u", "v")])
+
+
 def test_weight_one_is_dropped():
     q = Quiver(["v"], [("a", "v", "v"), ("b", "v", "v")], weights={"a": 1, "b": "2/3"})
     assert q.weights == {"b": Fraction(2, 3)}

@@ -34,6 +34,21 @@ def test_random_sparse_quiver_no_duplicate_pairs():
         random_sparse_quiver(2, 5, 0)  # only 4 distinct pairs exist
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: random_sparse_quiver(3, -1, 1),
+        lambda: random_sparse_quiver(0, 0, 1),
+        lambda: random_tree_quiver(0, 1),
+        lambda: random_poset(0, 1),
+    ],
+    ids=["sparse_negative_arrows", "sparse_no_vertex", "tree_no_vertex", "poset_no_element"],
+)
+def test_generators_reject_impossible_sizes(make):
+    with pytest.raises(QuiverError):
+        make()
+
+
 def test_random_tree_quiver_shape():
     for seed in range(10):
         n = random.Random(seed).randint(1, 9)
