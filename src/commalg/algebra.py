@@ -83,10 +83,10 @@ class CoefficientFunction:
         return all(v == 1 for v in self.weights.values())
 
 
-def quasi_structure_constant(f: CoefficientFunction, p: Path, q: Path) -> Fraction:
-    """f(p) f(q) / f(pq); identically 1 for multiplicative coefficients."""
+def quasi_structure_constant(f: CoefficientFunction, p: Path, q: Path):
+    """f(p) f(q) / f(pq) in QQ; identically 1 for multiplicative coefficients."""
     pq = compose(p, q)
-    return f.value(p) * f.value(q) / f.value(pq)
+    return QQ.div(f.value(p) * f.value(q), f.value(pq))
 
 
 class CommutingAlgebra:

@@ -11,20 +11,37 @@ __all__ = ["RationalField", "PrimeField", "PrimeFieldElement", "QQ", "parse_fiel
 
 
 class RationalField:
-    """Exact rational scalars, represented as Fraction."""
+    """Exact rational scalars: an ``int`` when integral, else a ``Fraction``.
+
+    Sums and products are left as Python computes them (``int * Fraction``
+    may be a ``Fraction`` with denominator 1; ``==`` and ``hash`` agree).
+    ``div`` is the one division, so no ``int / int`` makes a float.
+    """
 
     name = "QQ"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
-    def element(self, value) -> Fraction:
-        return Fraction(value)
-
-    def nonzero(self, value) -> Fraction:
+    def element(self, value):
+        if type(value) is int:
+            return value
+        if isinstance(value, float):
+            raise QuiverError(f"float scalar {value!r} is not exact")
         out = Fraction(value)
+        return out.numerator if out.denominator == 1 else out
+
+    def nonzero(self, value):
+        out = self.element(value)
         if out == 0:
             raise QuiverError("scalar must be nonzero")
         return out
+
+    def div(self, a, b):
+        """The exact quotient a / b, an ``int`` when it is integral."""
+        if type(a) is int and type(b) is int:
+            q, r = divmod(a, b)
+            return Fraction(a, b) if r else q
+        return self.element(a / b)
 
     def __repr__(self) -> str:
         return "QQ"
@@ -165,13 +182,17 @@ class PrimeField:
             return value
         if isinstance(value, int):
             return PrimeFieldElement(self.p, value % self.p)
-        return _fraction_mod(Fraction(value), self.p)
+        return _fraction_mod(QQ.element(value), self.p)
 
     def nonzero(self, value) -> PrimeFieldElement:
         out = self.element(value)
         if out.value == 0:
             raise QuiverError("scalar must be nonzero")
         return out
+
+    def div(self, a, b) -> PrimeFieldElement:
+        """The quotient a / b in the field."""
+        return self.element(a) / b
 
     def __repr__(self) -> str:
         return self.name

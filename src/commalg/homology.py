@@ -6,7 +6,8 @@ route (checked at construction).  Simples are resolved by iterated minimal
 projective covers; the number of steps is bounded by the longest chain of
 the poset, so no projective dimension, and hence not the global
 dimension, exceeds the number of elements in that chain minus one.  All
-linear algebra is exact over the rationals.
+linear algebra is exact over the rationals, where 0/1 inclusions and other
+integral entries stay Python ints (see ``RationalField``).
 
 Work lives on the support, the elements of nonzero dimension: a resolution
 term is supported on the up-set of its tops, so most of it is zero.

@@ -3,7 +3,10 @@
 Matrices are small here (tens of rows), so plain row reduction with exact
 arithmetic is enough.  Pivots are chosen as the first nonzero entry, never
 by magnitude: there is no rounding to stabilize.  An entry is tested for
-zero by its truth value, which both coefficient fields define.
+zero by its truth value, which both coefficient fields define.  Rational
+entries stay ints until the one division, a pivot inverse by ``field.div``,
+leaves a remainder: a reduction whose pivots are all 1 or -1 builds no
+Fraction.
 """
 
 from __future__ import annotations
@@ -117,7 +120,7 @@ class Mat:
             if pivot is None:
                 continue
             rows[r], rows[pivot] = rows[pivot], rows[r]
-            inv = self.field.one / rows[r][c]
+            inv = self.field.div(self.field.one, rows[r][c])
             rows[r] = [x * inv if x else x for x in rows[r]]
             for i in range(self.nrows):
                 if i != r and rows[i][c]:

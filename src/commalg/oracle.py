@@ -12,11 +12,15 @@ report follows from the walk count v -> w of ``count_paths``; paths are
 built only to check, over a prime field with weights, that none vanishes.
 Walk lists and the union-find over two-term relations (``_TwoTermRank``)
 belong to the tabulated branch, which reaches every relation through heads
-x middles x tails walk lists.  These lists and their coefficients recur for
+x middles x tails walk lists.  These lists and the middle pairs recur for
 every vertex pair of a report, so each ``GeneralCoefficientTable`` memoizes
 them: walk lists as ``(arrows, length)`` pairs keyed by ``(start, end,
-truncation, path_cap)``, and coefficients in the working field keyed by
-``(field, start, arrows)``.  Only successes are stored, so a path-cap
+truncation, path_cap)``, and middle pairs keyed by ``(field, start, end,
+truncation, path_cap)``, one ``(p, q, |q|, f(p), f(q), ratio id)`` for each
+walk p before q, with f in the working field and the ratio f(q) / f(p)
+interned per field, so the relation ledger holds int triples.  Middle pairs
+are priced only between nonempty heads and tails, so a lone middle's
+coefficient is never read.  Only successes are stored, so a path-cap
 overflow or a coefficient that vanishes in the field raises again on every
 call.  Reuse one table across calls, as ``pattern_report`` does.
 """
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Mapping
 
 from .algebra import CoefficientFunction
@@ -58,7 +63,7 @@ class GeneralCoefficientTable:
     quiver: Quiver
     base: CoefficientFunction
     exceptions: Mapping[Path, Fraction]
-    # walk lists and field coefficients of the tabulated oracle branch
+    # walk lists, middle pairs and ratio ids of the tabulated oracle branch
     _memo: dict = dataclass_field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -150,7 +155,7 @@ class _TwoTermRank:
             return
         # x_ri = (b wj) / (a wi) * x_rj
         self.parent[ri] = rj
-        self.ratio[ri] = (b * wj) / (a * wi)
+        self.ratio[ri] = self.field.div(b * wj, a * wi)
         self.dead[rj] = self.dead[rj] or self.dead[ri]
 
     def live_classes(self) -> int:
@@ -210,18 +215,28 @@ def truncated_hom_dimension(
                 memo[key] = found
             return found
 
-        def memo_coeff(a: str, arrows: tuple[str, ...], b: str):
-            # the start vertex tells apart the trivial paths, whose arrows are ()
-            key = (field, a, arrows)
+        def middle_pairs(a: str, b: str, middles) -> list[tuple]:
+            # sorted by |q|; a ratio's id is its insertion index in ``ratio_ids``
+            key = (field, a, b, truncation, path_cap)
             found = memo.get(key)
             if found is None:
-                found = memo[key] = coeff(Path(a, arrows, b))
+                coeffs = [coeff(Path(a, arrows, b)) for arrows, _ in middles]
+                found = memo[key] = sorted(
+                    (
+                        (pa, qa, lq, fp, fq,
+                         ratio_ids.setdefault(field.div(fq, fp), len(ratio_ids)))
+                        for k, ((pa, _), fp) in enumerate(zip(middles, coeffs))
+                        for (qa, lq), fq in zip(middles[k + 1:], coeffs[k + 1:])
+                    ),
+                    key=itemgetter(2),
+                )
             return found
 
+        ratio_ids = memo.setdefault(field, {})
         index = {arrows: k for k, (arrows, _) in enumerate(walks(source, target))}
         path_count = len(index)
         solver = _TwoTermRank(path_count, field)
-        seen: set[tuple[int, int, object]] = set()
+        seen: set[tuple[int, int, int]] = set()
         for a in quiver.vertices:
             heads = walks(source, a)
             if not heads:
@@ -233,32 +248,26 @@ def truncated_hom_dimension(
                 tails = walks(b, target)
                 if not tails:
                     continue
-                middles = [
-                    (arrows, length, memo_coeff(a, arrows, b))
-                    for arrows, length in middles
-                ]
-                # walk lists run by length, then by arrow order: q is never
-                # shorter than p, the first walk too long for the budget ends
-                # its loop, and r p s comes before r q s in the index
+                # pairs run by |q|, walk lists by length, then arrow order:
+                # the first pair, head or tail too long for what is left
+                # ends its loop, and r p s comes before r q s in the index
                 shortest = heads[0][1] + tails[0][1]
-                for k, (pa, _, fp) in enumerate(middles):
-                    for qa, lq, fq in middles[k + 1:]:
-                        budget = truncation - lq
-                        if budget < shortest:
+                for pa, qa, lq, fp, fq, ratio in middle_pairs(a, b, middles):
+                    budget = truncation - lq
+                    if budget < shortest:
+                        break
+                    for ra, lr in heads:
+                        room = budget - lr
+                        if room < 0:
                             break
-                        ratio = fq / fp  # the first head and tail fit, so it is used
-                        for ra, lr in heads:
-                            room = budget - lr
-                            if room < 0:
+                        rp, rq = ra + pa, ra + qa
+                        for sa, ls in tails:
+                            if ls > room:
                                 break
-                            rp, rq = ra + pa, ra + qa
-                            for sa, ls in tails:
-                                if ls > room:
-                                    break
-                                key = (index[rp + sa], index[rq + sa], ratio)
-                                if key not in seen:
-                                    seen.add(key)
-                                    solver.relate(key[0], key[1], fp, fq)
+                            key = (index[rp + sa], index[rq + sa], ratio)
+                            if key not in seen:
+                                seen.add(key)
+                                solver.relate(key[0], key[1], fp, fq)
         rank = solver.rank()
 
     dimension = path_count - rank

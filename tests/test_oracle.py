@@ -395,6 +395,25 @@ def test_memo_never_hides_a_coefficient_vanishing_in_the_field():
             truncated_hom_dimension(q, table, "v", "x", 2, field=PrimeField(5))
 
 
+def test_only_middle_pairs_price_their_coefficients():
+    # s -a-> v -b-> t: every middle is alone, so f(a) = 5 is never read and
+    # cannot vanish in F5; a second route c from s to v makes it a middle pair
+    q = Quiver(["s", "v", "t"], [("a", "s", "v"), ("b", "v", "t")])
+    table = GeneralCoefficientTable(
+        q, CoefficientFunction.trivial(), {q.path("s", ["a"]): Fraction(5)}
+    )
+    reports = pattern_report(q, 2, table, field=PrimeField(5))
+    assert [r.dimension for r in reports] == [1, 1, 1, 0, 1, 1, 0, 0, 1]
+    q = Quiver(["s", "v", "t"], [("a", "s", "v"), ("c", "s", "v"), ("b", "v", "t")])
+    table = GeneralCoefficientTable(
+        q, CoefficientFunction.trivial(), {q.path("s", ["a"]): Fraction(5)}
+    )
+    assert [r.dimension for r in pattern_report(q, 2, table)] == [1, 1, 0, 0, 1, 1, 0, 0, 1]
+    for _ in range(2):
+        with pytest.raises(QuiverError, match=r"Path\(s:a:v\) vanishes in F5"):
+            pattern_report(q, 2, table, field=PrimeField(5))
+
+
 def test_used_table_equals_fresh_table():
     q = two_routes()
     exceptions = {q.path("v", ["a", "c"]): Fraction(2)}
