@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
+from numbers import Rational
 from typing import Mapping
 
 from .errors import InternalInvariantError, QuiverError
@@ -43,12 +44,12 @@ class CoefficientFunction:
     Vertices (length-zero paths) get 1.  Every weight must be nonzero.
     """
 
-    weights: Mapping[str, Fraction]
+    weights: Mapping[str, Rational]
 
     def __post_init__(self):
         cleaned = {}
         for name, value in self.weights.items():
-            value = Fraction(value)
+            value = QQ.element(value)
             if value == 0:
                 raise QuiverError(f"arrow {name!r} has zero weight")
             cleaned[name] = value

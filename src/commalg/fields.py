@@ -1,4 +1,9 @@
-"""Exact coefficient fields: the rationals and prime fields."""
+"""Exact coefficient fields: the rationals and prime fields.
+
+An outside scalar enters a field once, through ``field.element``, and every
+division of field scalars goes through ``field.div``. A rational is a plain
+``int`` or ``Fraction``; a prime-field element meets only its own field.
+"""
 
 from __future__ import annotations
 
@@ -10,6 +15,7 @@ from .errors import QuiverError
 __all__ = ["RationalField", "PrimeField", "PrimeFieldElement", "QQ", "parse_field"]
 
 
+@dataclass(frozen=True)
 class RationalField:
     """Exact rational scalars: an ``int`` when integral, else a ``Fraction``.
 
@@ -46,87 +52,50 @@ class RationalField:
     def __repr__(self) -> str:
         return "QQ"
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RationalField)
-
-    def __hash__(self) -> int:
-        return hash("RationalField")
-
 
 QQ = RationalField()
 
 
 @dataclass(frozen=True)
 class PrimeFieldElement:
+    """An integer mod a prime, with ``value`` in [0, modulus).
+
+    It meets only elements of its own field: another modulus raises
+    ``QuiverError``, any other operand ``TypeError`` in either order, and
+    ``==`` holds only for the same modulus and value. An outside scalar
+    enters through ``PrimeField.element``.
+    """
+
     modulus: int
     value: int
 
-    def _lift(self, other) -> "PrimeFieldElement":
-        if isinstance(other, PrimeFieldElement):
-            if other.modulus != self.modulus:
-                raise QuiverError("mixed prime field moduli")
-            return other
-        if isinstance(other, int):
-            return PrimeFieldElement(self.modulus, other % self.modulus)
-        if isinstance(other, Fraction):
-            return _fraction_mod(other, self.modulus)
-        return NotImplemented  # type: ignore[return-value]
+    def _check_field(self, other) -> None:
+        if not isinstance(other, PrimeFieldElement):
+            raise TypeError(f"an element of F{self.modulus} meets a {type(other).__name__}")
+        if other.modulus != self.modulus:
+            raise QuiverError("mixed prime field moduli")
 
     def __add__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
+        self._check_field(other)
         return PrimeFieldElement(self.modulus, (self.value + other.value) % self.modulus)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
+        self._check_field(other)
         return PrimeFieldElement(self.modulus, (self.value - other.value) % self.modulus)
 
-    def __rsub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
     def __mul__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
+        self._check_field(other)
         return PrimeFieldElement(self.modulus, (self.value * other.value) % self.modulus)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
+        self._check_field(other)
         if other.value == 0:
             raise ZeroDivisionError("division by zero in prime field")
         inv = pow(other.value, self.modulus - 2, self.modulus)
         return PrimeFieldElement(self.modulus, (self.value * inv) % self.modulus)
 
-    def __rtruediv__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
     def __neg__(self):
         return PrimeFieldElement(self.modulus, (-self.value) % self.modulus)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PrimeFieldElement):
-            return self.modulus == other.modulus and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.modulus
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.modulus, self.value))
 
     def __bool__(self) -> bool:
         return self.value != 0
@@ -154,22 +123,17 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _fraction_mod(value: Fraction, p: int) -> PrimeFieldElement:
-    if value.denominator % p == 0:
-        raise QuiverError(f"denominator of {value} is divisible by {p}")
-    inv = pow(value.denominator % p, p - 2, p)
-    return PrimeFieldElement(p, (value.numerator * inv) % p)
-
-
+@dataclass(frozen=True)
 class PrimeField:
     """Integers modulo a prime p."""
 
-    def __init__(self, p: int):
-        if not _is_prime(p):
-            raise QuiverError(f"{p} is not prime")
-        self.p = p
-        self.zero = PrimeFieldElement(p, 0)
-        self.one = PrimeFieldElement(p, 1)
+    p: int
+
+    def __post_init__(self):
+        if not _is_prime(self.p):
+            raise QuiverError(f"{self.p} is not prime")
+        object.__setattr__(self, "zero", PrimeFieldElement(self.p, 0))
+        object.__setattr__(self, "one", PrimeFieldElement(self.p, 1))
 
     @property
     def name(self) -> str:
@@ -177,12 +141,15 @@ class PrimeField:
 
     def element(self, value) -> PrimeFieldElement:
         if isinstance(value, PrimeFieldElement):
-            if value.modulus != self.p:
-                raise QuiverError("mixed prime field moduli")
+            self.zero._check_field(value)
             return value
         if isinstance(value, int):
             return PrimeFieldElement(self.p, value % self.p)
-        return _fraction_mod(QQ.element(value), self.p)
+        value = QQ.element(value)
+        if value.denominator % self.p == 0:
+            raise QuiverError(f"denominator of {value} is divisible by {self.p}")
+        inv = pow(value.denominator % self.p, self.p - 2, self.p)
+        return PrimeFieldElement(self.p, (value.numerator * inv) % self.p)
 
     def nonzero(self, value) -> PrimeFieldElement:
         out = self.element(value)
@@ -196,12 +163,6 @@ class PrimeField:
 
     def __repr__(self) -> str:
         return self.name
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.p))
 
 
 def parse_field(spec: str):

@@ -66,9 +66,6 @@ class Mat:
     def take_rows(self, indices: Sequence[int]) -> "Mat":
         return Mat._owning([list(self.rows[i]) for i in indices], self.ncols, self.field)
 
-    def columns(self) -> list[list]:
-        return [self.column(j) for j in range(self.ncols)]
-
     def hstack(self, other: "Mat") -> "Mat":
         if other.nrows != self.nrows:
             raise InternalInvariantError("hstack with differing row counts")
@@ -107,12 +104,9 @@ class Mat:
     def is_zero(self) -> bool:
         return not any(map(any, self.rows))
 
-    def copy_rows(self) -> list[list]:
-        return [list(r) for r in self.rows]
-
     def _eliminate(self) -> tuple[list[list], list[int]]:
         """Reduced row echelon form of a copy; returns (rows, pivot columns)."""
-        rows = self.copy_rows()
+        rows = [list(r) for r in self.rows]
         pivots: list[int] = []
         r = 0
         for c in range(self.ncols):
@@ -150,10 +144,6 @@ class Mat:
             for r, pc in enumerate(pivots):
                 basis.rows[pc][k] = -rows[r][c]
         return basis, free
-
-    def kernel_basis(self) -> "Mat":
-        """Columns spanning the null space, one per free column of the rref."""
-        return self.null_space()[0]
 
     def solve(self, rhs: "Mat") -> "Mat":
         """X with self @ X = rhs; raises if the system is inconsistent."""

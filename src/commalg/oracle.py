@@ -28,7 +28,7 @@ call.  Reuse one table across calls, as ``pattern_report`` does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
+from numbers import Rational
 from operator import itemgetter
 from typing import Mapping
 
@@ -62,7 +62,7 @@ class GeneralCoefficientTable:
 
     quiver: Quiver
     base: CoefficientFunction
-    exceptions: Mapping[Path, Fraction]
+    exceptions: Mapping[Path, Rational]
     # walk lists, middle pairs and ratio ids of the tabulated oracle branch
     _memo: dict = dataclass_field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -75,7 +75,7 @@ class GeneralCoefficientTable:
             rebuilt = self.quiver.path(path.start, path.arrows)
             if rebuilt != path:
                 raise QuiverError(f"path {path!r} is not a path of the quiver")
-            value = Fraction(value)
+            value = QQ.element(value)
             if value == 0:
                 raise QuiverError(f"zero coefficient for path {path!r}")
             cleaned[path] = value
@@ -91,7 +91,7 @@ class GeneralCoefficientTable:
     ) -> "GeneralCoefficientTable":
         return cls(quiver, f, {})
 
-    def value(self, path: Path) -> Fraction:
+    def value(self, path: Path) -> Rational:
         if path in self.exceptions:
             return self.exceptions[path]
         return self.base.value(path)

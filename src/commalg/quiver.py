@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
+from numbers import Rational
 from typing import Iterable, Mapping, Sequence
 
 from .errors import QuiverError, TruncationOverflowError
+from .fields import QQ
 
 __all__ = [
     "Arrow",
@@ -58,14 +59,15 @@ class Quiver:
     """A finite directed multigraph with named vertices and arrows.
 
     Loops and parallel arrows are allowed.  Arrows may carry nonzero
-    rational weights; an absent weight means 1.
+    rational weights, made exact by ``QQ.element`` (which refuses a float);
+    an absent weight means 1.
     """
 
     def __init__(
         self,
         vertices: Sequence[str],
         arrows: Iterable[Arrow | tuple[str, str, str]] = (),
-        weights: Mapping[str, Fraction | int | str] | None = None,
+        weights: Mapping[str, Rational | str] | None = None,
         name: str = "Q",
     ):
         self.name = str(name)
@@ -89,11 +91,11 @@ class Quiver:
             if a.name in seen:
                 raise QuiverError(f"duplicate arrow identifier {a.name!r}")
             seen.add(a.name)
-        cleaned: dict[str, Fraction] = {}
+        cleaned: dict[str, Rational] = {}
         for arrow_name, value in (weights or {}).items():
             if arrow_name not in seen:
                 raise QuiverError(f"weight given for unknown arrow {arrow_name!r}")
-            value = Fraction(value)
+            value = QQ.element(value)
             if value == 0:
                 raise QuiverError(f"arrow {arrow_name!r} has zero weight")
             if value != 1:
@@ -125,9 +127,9 @@ class Quiver:
         except KeyError:
             raise QuiverError(f"unknown arrow {name!r}") from None
 
-    def weight(self, arrow_name: str) -> Fraction:
+    def weight(self, arrow_name: str) -> Rational:
         self.arrow(arrow_name)
-        return self.weights.get(arrow_name, Fraction(1))
+        return self.weights.get(arrow_name, QQ.one)
 
     def check_vertex(self, v: str) -> str:
         if v not in self.vertex_index:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -331,6 +332,52 @@ def test_resolution_verify_catches_tampering():
                         tuple(bad_maps[:-1]) + (tampered,))
     with pytest.raises(InternalInvariantError):
         broken.verify()
+
+
+def test_resolution_verify_catches_a_cover_that_is_not_onto():
+    res = minimal_resolution(chain(1), "x0")
+    d0 = res.maps[0]
+    zero = RepMorphism(d0.source, d0.target, (Mat(1, 1),))
+    with pytest.raises(InternalInvariantError, match="cover 0 not onto at 0"):
+        replace(res, maps=(zero,)).verify()
+
+
+def test_resolution_verify_catches_a_nonzero_composite():
+    p = diamond()
+    res = minimal_resolution(p, "a")
+    d1, d2 = res.maps[1], res.maps[2]
+    d = p.position("d")
+    # a map out of the projective at d is any vector at d: take one that d1
+    # does not send to zero
+    column = next(c for c in (Mat(2, 1, [[1], [0]]), Mat(2, 1, [[0], [1]]))
+                  if not (d1.blocks[d] @ c).is_zero())
+    blocks = d2.blocks[:d] + (column,) + d2.blocks[d + 1:]
+    bad = RepMorphism(d2.source, d2.target, blocks)
+    with pytest.raises(InternalInvariantError, match="d1 after d2 is nonzero at 3"):
+        replace(res, maps=res.maps[:2] + (bad,)).verify()
+
+
+def test_resolution_verify_catches_a_step_that_is_not_minimal():
+    # over a point: K^2 -> K by [1 0], then K -> K^2 onto its kernel, is exact
+    # but splits off a summand, so its image leaves the (zero) radical
+    p = chain(1)
+    res = minimal_resolution(p, "x0")
+    cover0 = PosetRepresentation(p, (2,), {})
+    cover1 = PosetRepresentation(p, (1,), {})
+    d0 = RepMorphism(cover0, res.module, (Mat(1, 2, [[1, 0]]),))
+    d1 = RepMorphism(cover1, cover0, (Mat(2, 1, [[0], [1]]),))
+    bad = replace(res, covers=(cover0, cover1), multisets=((("x0", 2),), (("x0", 1),)),
+                    maps=(d0, d1))
+    with pytest.raises(InternalInvariantError, match="step 1 is not minimal at element 0"):
+        bad.verify()
+
+
+def test_resolution_verify_catches_an_unfinished_resolution():
+    res = minimal_resolution(chain(2), "x0")
+    assert res.length == 1
+    cut = replace(res, covers=res.covers[:1], multisets=res.multisets[:1], maps=res.maps[:1])
+    with pytest.raises(InternalInvariantError, match="resolution not finished at 1"):
+        cut.verify()
 
 
 @pytest.mark.parametrize("seed", range(40))

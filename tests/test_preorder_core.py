@@ -172,6 +172,13 @@ def test_condensation_rejects_a_partition_that_splits_reachability():
         condensation(ComponentPartition((("a", "b"), ("zz",))), pattern)
 
 
+def test_component_partition_rejects_empty_and_overlapping_components():
+    with pytest.raises(InternalInvariantError, match="empty component"):
+        ComponentPartition((("a",), ()))
+    with pytest.raises(InternalInvariantError, match="vertex 'b' in two components"):
+        ComponentPartition((("a", "b"), ("b",)))
+
+
 def bfs_reach(quiver, source):
     seen, frontier = {source}, [source]
     while frontier:

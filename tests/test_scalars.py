@@ -2,10 +2,13 @@
 
 ``RationalField.div`` (and ``PrimeField.div``) is the one place that divides
 field scalars, so a stray ``int / int`` cannot turn an exact scalar into a
-float; floats are refused at the door of both fields.
+float; floats are refused at the door of both fields.  Arrow weights and
+tabulated exceptions enter through ``QQ.element`` too, and a prime-field
+element meets only elements of its own field.
 """
 
 import ast
+import operator
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import commalg
-from commalg import PrimeField, QQ, QuiverError
+from commalg import (CoefficientFunction, GeneralCoefficientTable, PrimeField, QQ, Quiver,
+                     QuiverError)
 from commalg.fields import PrimeFieldElement
 from commalg.linalg import Mat
 
@@ -52,6 +56,68 @@ def test_fields_reject_floats(value):
         PrimeField(5).nonzero(value)
     with pytest.raises(QuiverError, match="float"):
         Mat(1, 1, [[value]])
+
+
+def _two_arrows(weights=None):
+    return Quiver(["v", "w"], [("a", "v", "w"), ("b", "v", "w")], weights=weights)
+
+
+@pytest.mark.parametrize("value", [0.1, 2.0, -0.5])
+def test_weights_and_exceptions_reject_floats(value):
+    with pytest.raises(QuiverError, match="float"):
+        _two_arrows({"a": value})
+    with pytest.raises(QuiverError, match="float"):
+        CoefficientFunction({"a": value})
+    q = _two_arrows()
+    with pytest.raises(QuiverError, match="float"):
+        GeneralCoefficientTable(q, CoefficientFunction.trivial(), {q.path("v", ["a"]): value})
+
+
+def test_integral_weights_and_exceptions_are_stored_as_ints():
+    q = _two_arrows({"a": Fraction(4, 2), "b": "4/2"})
+    assert q.weights == {"a": 2, "b": 2}
+    assert all(type(x) is int for x in q.weights.values())
+    assert type(_two_arrows().weight("a")) is int
+    f = CoefficientFunction({"a": Fraction(4, 2), "b": "4/2"})
+    assert [type(x) for x in f.weights.values()] == [int, int]
+    table = GeneralCoefficientTable(q, f, {q.path("v", ["a"]): Fraction(4, 2),
+                                           q.path("v", ["b"]): "4/2"})
+    assert [type(x) for x in table.exceptions.values()] == [int, int]
+    # a proper fraction stays a Fraction
+    assert _two_arrows({"a": "3/2"}).weights == {"a": Fraction(3, 2)}
+
+
+ARITHMETIC = [operator.add, operator.sub, operator.mul, operator.truediv]
+
+
+@pytest.mark.parametrize("other", [2, Fraction(1, 2), True])
+@pytest.mark.parametrize("op", ARITHMETIC)
+def test_prime_field_elements_take_no_outside_scalar(op, other):
+    e = PrimeField(5).element(3)
+    with pytest.raises(TypeError):
+        op(e, other)
+    with pytest.raises(TypeError):
+        op(other, e)
+
+
+@pytest.mark.parametrize("op", ARITHMETIC)
+def test_prime_field_elements_of_two_moduli_do_not_mix(op):
+    with pytest.raises(QuiverError, match="mixed prime field moduli"):
+        op(PrimeField(5).one, PrimeField(7).one)
+    with pytest.raises(QuiverError, match="mixed prime field moduli"):
+        PrimeField(5).element(PrimeField(7).one)
+
+
+def test_prime_field_element_equals_only_its_own_field():
+    f5 = PrimeField(5)
+    e = f5.element(3)
+    assert e == f5.element(8) == PrimeFieldElement(5, 3)
+    assert hash(e) == hash(PrimeFieldElement(5, 3))
+    assert e != 3 and e != 8 and e != Fraction(3)
+    assert e != PrimeField(7).element(3)
+    assert f5.zero != 0 and f5.one != 1
+    assert PrimeField(5) == f5 and hash(PrimeField(5)) == hash(f5)
+    assert PrimeField(7) != f5
 
 
 def test_division_is_exact_and_normalized():
