@@ -70,8 +70,9 @@ class CoefficientFunction:
     def from_quiver(cls, quiver: Quiver) -> "CoefficientFunction":
         return cls(dict(quiver.weights))
 
-    def value(self, path: Path) -> Fraction:
-        out = Fraction(1)
+    def value(self, path: Path) -> Rational:
+        """The product of the weights: an ``int`` when every weight is one."""
+        out = QQ.one
         weights = self.weights
         for name in path.arrows:
             weight = weights.get(name)  # an absent weight is 1

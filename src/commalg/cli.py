@@ -17,7 +17,7 @@ from functools import cache
 from .algebra import commuting_algebra
 from .dsl import parse_quiver, to_dsl
 from .errors import InternalInvariantError, QuiverError
-from .fields import parse_field
+from .fields import QQ, parse_field
 from .homology import global_dimension, projective_dimensions
 from .oracle import DEFAULT_PATH_CAP, pattern_report
 from .poset import (
@@ -169,7 +169,7 @@ def _cmd_incidence(args) -> str:
 
 def _cmd_gldim(args) -> str:
     poset = skeleton(_load(args)).poset
-    dims = projective_dimensions(poset)
+    dims = projective_dimensions(poset, QQ)
     global_dim = max(dims)
     bound = poset.longest_chain()
     payload = {
@@ -177,7 +177,8 @@ def _cmd_gldim(args) -> str:
         "projective_dimensions": list(dims),
         "global_dimension": global_dim,
         "chain_bound": bound,
-        "bound": "PASS" if global_dim <= bound else "FAIL",
+        # the theorem: gldim <= (elements in the longest chain) - 1
+        "bound": "PASS" if global_dim <= bound - 1 else "FAIL",
     }
     if args.format == "pretty":
         lines = [f"pd({x}) = {d}" for x, d in zip(poset.elements, dims)]
@@ -216,7 +217,7 @@ def _cmd_verify(args) -> tuple[str, bool]:
 
     checks.append(("idempotence", idempotence_check(skel.poset)))
     bound = skel.poset.longest_chain() - 1
-    checks.append(("gldim_bound", global_dimension(skel.poset) <= bound))
+    checks.append(("gldim_bound", global_dimension(skel.poset, QQ) <= bound))
 
     ok = all(passed for _, passed in checks)
     if args.format == "pretty":

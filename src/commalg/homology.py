@@ -1,23 +1,15 @@
-"""Projective resolutions over poset representations and global dimension.
+"""Projective resolutions over poset representations, and global dimension.
 
-A representation of a finite poset assigns a rational vector space to each
-element and a map along each cover, with composites independent of the
-route (checked at construction).  Simples are resolved by iterated minimal
-projective covers; the number of steps is bounded by the longest chain of
-the poset, so no projective dimension, and hence not the global
-dimension, exceeds the number of elements in that chain minus one.  All
-linear algebra is exact over the rationals, where 0/1 inclusions and other
-integral entries stay Python ints (see ``RationalField``).
-
-Work lives on the support, the elements of nonzero dimension: a resolution
-term is supported on the up-set of its tops, so most of it is zero.
-Composites are stored and checked for route independence on the support
-only, where a route through a zero space counts as the zero map, and no
-morphism check or kernel map multiplies through a zero space.  That every
-related pair has a cover route depends only on the order, so
-``Poset.lower_covers`` checks it once per poset.  A kernel basis is the
-identity on its free rows, which hold the kernel coordinates: a kernel
-cover map is read off them, with no linear solve.
+A representation assigns a vector space over a field (QQ unless one is
+given) to each element and a map to each cover; one a user builds is
+checked, on its support, for composites independent of the route.  A simple
+is covered once by ``projective_cover``; every later term of its minimal
+resolution is a sum of projectives, kept as its tops.  Hom(P_s, P_t) is K
+when t <= s, so each differential is a scalar matrix, and its map at y is
+its block on the tops at or below y.  Every resolution is verified from
+those matrices and checked against the Mobius function, which does not
+depend on the field; the global dimension does (3 over QQ and 4 over F_2
+for the face poset of RP^2), and is below the longest chain's length.
 """
 
 from __future__ import annotations
@@ -31,29 +23,23 @@ from .errors import InternalInvariantError, QuiverError
 from .fields import QQ
 from .linalg import Mat
 from .poset import Poset
+from .structure import _bits, _of_rows
 
 __all__ = [
-    "PosetRepresentation",
-    "RepMorphism",
-    "ProjectiveCover",
-    "Resolution",
-    "projective",
-    "simple",
-    "projective_cover",
-    "minimal_resolution",
-    "projective_dimension",
-    "projective_dimensions",
-    "global_dimension",
+    "PosetRepresentation", "RepMorphism", "ProjectiveCover", "Resolution", "projective",
+    "simple", "projective_cover", "minimal_resolution", "projective_dimension",
+    "projective_dimensions", "global_dimension",
 ]
 
 
 @dataclass(frozen=True)
 class PosetRepresentation:
-    """Vector spaces on the elements, exact maps along the covers."""
+    """Vector spaces over ``field`` on the elements, maps along the covers."""
 
     poset: Poset
     dims: tuple[int, ...]
     maps: Mapping[tuple[int, int], Mat]
+    field: object = QQ
 
     def __post_init__(self):
         m = len(self.poset)
@@ -76,7 +62,7 @@ class PosetRepresentation:
         poset, dims, maps = self.poset, self.dims, self.maps
         rows, lower = poset.rows, poset.lower_covers
         support = [i for i, d in enumerate(dims) if d]
-        out = {(i, i): Mat.identity(dims[i]) for i in support}
+        out = {(i, i): Mat.identity(dims[i], self.field) for i in support}
         for j in poset.linear_extension():
             if not dims[j]:
                 continue
@@ -84,7 +70,8 @@ class PosetRepresentation:
                 if i == j or not rows[i] >> j & 1:
                     continue
                 # a route through a zero space is the zero map
-                vias = [maps[(y, j)] @ out[(i, y)] if dims[y] else Mat(dims[j], dims[i])
+                vias = [maps[(y, j)] @ out[(i, y)] if dims[y]
+                        else Mat(dims[j], dims[i], field=self.field)
                         for y in lower[j] if rows[i] >> y & 1]
                 if any(via != vias[0] for via in vias):
                     raise QuiverError(
@@ -103,7 +90,7 @@ class PosetRepresentation:
             raise QuiverError("composite requires related elements")
         if (i, j) in self._composites:
             return self._composites[(i, j)]
-        return Mat(self.dims[j], self.dims[i])
+        return Mat(self.dims[j], self.dims[i], field=self.field)
 
     def total_dim(self) -> int:
         return sum(self.dims)
@@ -114,7 +101,7 @@ class PosetRepresentation:
     def radical_generators(self, j: int) -> Mat:
         """Columns spanning the radical at j: images of the cover maps into j."""
         blocks = (self.maps[(y, j)] for y in self.poset.lower_covers[j] if self.dims[y])
-        return reduce(Mat.hstack, blocks, Mat(self.dims[j], 0))
+        return reduce(Mat.hstack, blocks, Mat(self.dims[j], 0, field=self.field))
 
 
 @dataclass(frozen=True)
@@ -145,56 +132,41 @@ class RepMorphism:
                 )
 
     def is_surjective(self) -> bool:
-        return all(
-            blk.rank() == self.target.dims[i] for i, blk in enumerate(self.blocks)
-        )
+        return all(not d or blk.rank() == d for blk, d in zip(self.blocks, self.target.dims))
 
     def kernel(self) -> tuple[PosetRepresentation, "RepMorphism"]:
         """Kernel subrepresentation with its inclusion."""
         spaces = [blk.null_space() for blk in self.blocks]
         dims = tuple(len(free) for _, free in spaces)
         maps = {(i, j): src_map.take_rows(spaces[j][1]) @ spaces[i][0] if dims[i] and dims[j]
-                else Mat(dims[j], dims[i]) for (i, j), src_map in self.source.maps.items()}
-        rep = PosetRepresentation(self.source.poset, dims, maps)
+                else Mat(dims[j], dims[i], field=self.source.field)
+                for (i, j), src_map in self.source.maps.items()}
+        rep = PosetRepresentation(self.source.poset, dims, maps, self.source.field)
         incl = RepMorphism(rep, self.source, tuple(basis for basis, _ in spaces))
         return rep, incl
 
-    def compose(self, inner: "RepMorphism") -> "RepMorphism":
-        """self after inner."""
-        if inner.target is not self.source and inner.target != self.source:
-            raise QuiverError("composition endpoints do not match")
-        blocks = tuple(a @ b if a.nrows and b.ncols else Mat(a.nrows, b.ncols)
-                       for a, b in zip(self.blocks, inner.blocks))
-        return RepMorphism(inner.source, self.target, blocks)
+
+def _projective_sum(poset: Poset, tops: list[int], field=QQ) -> PosetRepresentation:
+    """Direct sum of the projectives at the element indices ``tops``, repeats
+    allowed; each cover map is the 0/1 inclusion of summands."""
+    at, one, zero = _below(poset, tops), field.one, field.zero
+    maps = {(i, j): Mat._owning([[one if k == c else zero for c in at[i]] for k in at[j]],
+                                len(at[i]), field) for i, j in poset.covers}
+    return _of_rows(PosetRepresentation, poset=poset, dims=tuple(map(len, at)), maps=maps,
+                    field=field)
 
 
-def _projective_sum(poset: Poset, tops: list[int]) -> PosetRepresentation:
-    """Direct sum of the projectives at the element indices ``tops``.
-
-    Repeats are allowed; each cover map is the 0/1 inclusion of summands.
-    """
-    rows = poset.rows
-    at = [[k for k, x in enumerate(tops) if rows[x] >> y & 1] for y in range(len(poset))]
-    maps = {}
-    for (i, j) in poset.covers:
-        mat = Mat(len(at[j]), len(at[i]))
-        for col, k in enumerate(at[i]):
-            mat.rows[at[j].index(k)][col] = QQ.one
-        maps[(i, j)] = mat
-    return PosetRepresentation(poset, tuple(len(a) for a in at), maps)
-
-
-def projective(poset: Poset, x: str) -> PosetRepresentation:
+def projective(poset: Poset, x: str, field=QQ) -> PosetRepresentation:
     """The projective at x: one dimension on every y >= x, identity maps."""
-    return _projective_sum(poset, [poset.position(x)])
+    return _projective_sum(poset, [poset.position(x)], field)
 
 
-def simple(poset: Poset, x: str) -> PosetRepresentation:
+def simple(poset: Poset, x: str, field=QQ) -> PosetRepresentation:
     """The simple at x: one dimension at x, zero elsewhere."""
     xi = poset.position(x)
     dims = tuple(1 if j == xi else 0 for j in range(len(poset)))
-    maps = {(i, j): Mat(dims[j], dims[i]) for (i, j) in poset.covers}
-    return PosetRepresentation(poset, dims, maps)
+    maps = {(i, j): Mat(dims[j], dims[i], field=field) for (i, j) in poset.covers}
+    return _of_rows(PosetRepresentation, poset=poset, dims=dims, maps=maps, field=field)
 
 
 @dataclass(frozen=True)
@@ -223,15 +195,14 @@ def projective_cover(rep: PosetRepresentation) -> ProjectiveCover:
             continue
         rad = rep.radical_generators(x)
         # e_c is chosen iff it lies outside span(radical, e_0 .. e_{c-1})
-        _, pivots = rad.hstack(Mat.identity(d)).rref()
+        _, pivots = rad.hstack(Mat.identity(d, rep.field)).rref()
         summands += [(x, c - rad.ncols) for c in pivots if c >= rad.ncols]
-    cover_rep = _projective_sum(poset, [x for x, _ in summands])
+    cover_rep = _projective_sum(poset, [x for x, _ in summands], rep.field)
     blocks = tuple(
-        Mat.from_columns(
-            [rep.composite(x, y).column(c) for x, c in summands if poset.rows[x] >> y & 1],
-            rep.dims[y],
-        )
-        for y in range(len(poset))
+        Mat.from_columns([rep.composite(x, y).column(c) for x, c in summands
+                          if poset.rows[x] >> y & 1], d, rep.field)
+        if d else Mat(0, n, field=rep.field)
+        for y, (d, n) in enumerate(zip(rep.dims, cover_rep.dims))
     )
     surj = RepMorphism(cover_rep, rep, blocks)
     if not surj.is_surjective():
@@ -242,105 +213,129 @@ def projective_cover(rep: PosetRepresentation) -> ProjectiveCover:
 
 @dataclass(frozen=True)
 class Resolution:
-    """Iterated projective covers of a module, usually a simple.
+    """A minimal projective resolution of a module, usually a simple.
 
-    maps[0] sends covers[0] onto the module; maps[k] for k >= 1 is the
-    composite covers[k] -> kernel -> covers[k-1].  ``verify`` reruns the
-    exactness and minimality rank checks from the stored matrices alone.
-    """
+    Term k sums the projectives at its tops, the element indices
+    ``covers[k]``.  ``surjection`` maps term 0 onto the module resolved, and
+    ``differentials[k - 1]`` is d_k: entry (i, j) scales P_{s_j} -> P_{t_i}
+    for s and t the tops of terms k and k - 1."""
 
-    module: PosetRepresentation
-    covers: tuple[PosetRepresentation, ...]
-    multisets: tuple[tuple[tuple[str, int], ...], ...]
-    maps: tuple[RepMorphism, ...]
+    surjection: RepMorphism
+    covers: tuple[tuple[int, ...], ...]
+    differentials: tuple[Mat, ...]
 
     @property
     def length(self) -> int:
         return len(self.covers) - 1
 
+    @property
+    def multisets(self) -> tuple[tuple[tuple[str, int], ...], ...]:
+        els = self.surjection.target.poset.elements
+        return tuple(tuple(Counter(els[t] for t in tops).items()) for tops in self.covers)
+
     def verify(self) -> None:
-        poset = self.module.poset
-        m = len(poset)
-        for k, morphism in enumerate(self.maps):
-            target = self.module if k == 0 else self.covers[k - 1]
-            for y in range(m):
-                blk = morphism.blocks[y]
-                if k == 0:
-                    # surjectivity onto the module
-                    if blk.rank() != target.dims[y]:
-                        raise InternalInvariantError(f"cover 0 not onto at {y}")
-                else:
-                    prev = self.maps[k - 1].blocks[y]
-                    composite = prev @ blk
-                    if not composite.is_zero():
-                        raise InternalInvariantError(
-                            f"d{k - 1} after d{k} is nonzero at {y}"
-                        )
-                    # exactness: im d_k = ker d_{k-1}, by rank count
-                    if blk.rank() != target.dims[y] - prev.rank():
-                        raise InternalInvariantError(
-                            f"homology at step {k - 1}, element {y}"
-                        )
-                    # minimality: the image lies inside the radical
-                    rad = self.covers[k - 1].radical_generators(y)
-                    if rad.hstack(blk).rank() != rad.rank():
-                        raise InternalInvariantError(
-                            f"step {k} is not minimal at element {y}"
-                        )
-        last = self.maps[-1]
-        for y in range(m):
-            if last.blocks[y].rank() != last.source.dims[y]:
-                raise InternalInvariantError(f"resolution not finished at {y}")
+        """Recheck the resolution from its matrices, by ranks at each element."""
+        module, covers = self.surjection.target, self.covers
+        poset = module.poset
+        if [(len(t), len(s)) for t, s in zip(covers, covers[1:])] != [
+                (phi.nrows, phi.ncols) for phi in self.differentials]:
+            raise InternalInvariantError("differentials do not fit the terms")
+        blocks, at = self.surjection.blocks, _below(poset, covers[0])
+        ranks = [blk.rank() if blk.nrows else 0 for blk in blocks]
+        for y in (y for y, d in enumerate(module.dims) if ranks[y] != d):
+            raise InternalInvariantError(f"cover 0 not onto at {y}")
+        for k, (phi, t, s) in enumerate(zip(self.differentials, covers, covers[1:]), 1):
+            for i, j in ((i, j) for i, row in enumerate(phi.rows) for j, a in enumerate(row) if a):
+                if not poset.rows[t[i]] >> s[j] & 1:
+                    raise InternalInvariantError(f"morphism d{k} does not commute at ({i}, {j})")
+                if t[i] == s[j]:
+                    raise InternalInvariantError(f"step {k} is not minimal at element {s[j]}")
+            at_k = _below(poset, s)
+            new = [phi.take(rows, cols) if cols else None for rows, cols in zip(at, at_k)]
+            for y in sorted(set(s)):  # a map out of P_s is fixed by its value at s
+                if at[y] and blocks[y].nrows and not (blocks[y] @ new[y]).is_zero():
+                    raise InternalInvariantError(f"d{k - 1} after d{k} is nonzero at {y}")
+            new_ranks = [blk.rank() if blk is not None else 0 for blk in new]
+            for y in (y for y, r in enumerate(new_ranks) if r != len(at[y]) - ranks[y]):
+                raise InternalInvariantError(f"homology at step {k - 1}, element {y}")
+            blocks, ranks, at = new, new_ranks, at_k
+        for y in (y for y, r in enumerate(ranks) if r != len(at[y])):
+            raise InternalInvariantError(f"resolution not finished at {y}")
 
 
-def minimal_resolution(poset: Poset, x: str) -> Resolution:
-    """Minimal projective resolution of the simple at x.
-
-    Terminates within longest_chain(poset) cover steps; running past that
-    bound means the construction itself is broken.
-    """
-    target = simple(poset, x)
-    bound = poset.longest_chain()
-    covers: list[PosetRepresentation] = []
-    multisets = []
-    maps: list[RepMorphism] = []
-    current = target
-    inclusion: RepMorphism | None = None
-    for _ in range(bound):
-        step = projective_cover(current)
-        covers.append(step.module)
-        multisets.append(step.multiset)
-        maps.append(step.surjection if inclusion is None
-                    else inclusion.compose(step.surjection))
-        kernel, incl = step.surjection.kernel()
-        if kernel.is_zero():
-            return Resolution(target, tuple(covers), tuple(multisets), tuple(maps))
-        current, inclusion = kernel, incl
-    raise InternalInvariantError(
-        f"projective resolution of {x!r} exceeded the chain bound {bound}"
-    )
-
-
-def projective_dimension(poset: Poset, x: str) -> int:
-    return minimal_resolution(poset, x).length
-
-
-def projective_dimensions(poset: Poset) -> tuple[int, ...]:
-    """Projective dimension of each element's simple, in element order.
-
-    None may exceed the longest chain's element count minus one.
-    """
-    out = tuple(projective_dimension(poset, x) for x in poset.elements)
-    bound = poset.longest_chain() - 1
-    if out and max(out) > bound:
-        raise InternalInvariantError(
-            f"global dimension {max(out)} exceeds the chain bound {bound}"
-        )
+def _below(poset: Poset, tops) -> list[list[int]]:
+    """Per element, the positions of the tops at or below it."""
+    out: list[list[int]] = [[] for _ in poset.rows]
+    for k, t in enumerate(tops):
+        for y in _bits(poset.rows[t]):
+            out[y].append(k)
     return out
 
 
-def global_dimension(poset: Poset) -> int:
+def minimal_resolution(poset: Poset, x: str, field=QQ) -> Resolution:
+    """Minimal projective resolution of the simple at x over ``field``.
+
+    A kernel vector at y is a generator when it lies outside the span of the
+    kernels at the lower covers and the vectors before it, the rule of
+    ``projective_cover``.  Running past longest_chain(poset) steps means the
+    construction is broken."""
+    cover = projective_cover(simple(poset, x, field))
+    tops = tuple(poset.position(e) for e, n in cover.multiset for _ in range(n))
+    covers, differentials = [tops], []
+    blocks, at = cover.surjection.blocks, _below(poset, tops)
+    for _ in range(poset.longest_chain()):
+        # per element, the kernel basis vectors as {coordinate of the term: entry}
+        kernels = [[dict(zip(at[y], col)) for col in zip(*blk.null_space()[0].rows)]
+                   if at[y] else [] for y, blk in enumerate(blocks)]
+        n, tops, columns = len(tops), [], []
+        for y, kernel in enumerate(kernels):
+            rad = [col for z in poset.lower_covers[y] for col in kernels[z]]
+            if rad and kernel:
+                both = rad + kernel
+                _, pivots = Mat._owning([[col.get(i, field.zero) for col in both] for i in at[y]],
+                                        len(both), field).rref()
+                kernel = [both[c] for c in pivots if c >= len(rad)]
+            tops += [y] * len(kernel)
+            columns += kernel
+        if not tops:
+            return Resolution(cover.surjection, tuple(covers), tuple(differentials))
+        phi = Mat._owning([[col.get(i, field.zero) for col in columns] for i in range(n)],
+                          len(columns), field)
+        covers.append(tuple(tops))
+        differentials.append(phi)
+        at, at_prev = _below(poset, tops), at
+        blocks = [phi.take(rows, cols) if cols else None for rows, cols in zip(at_prev, at)]
+    raise InternalInvariantError(
+        f"projective resolution of {x!r} exceeded the chain bound {poset.longest_chain()}")
+
+
+def projective_dimension(poset: Poset, x: str, field=QQ) -> int:
+    """Length of the minimal resolution of the simple at x, once it passes
+    ``Resolution.verify`` and, for every y, the alternating count of P_y
+    over its terms is the Mobius function mu(x, y)."""
+    res = minimal_resolution(poset, x, field)
+    res.verify()
+    euler = [0] * len(poset)
+    for k, tops in enumerate(res.covers):
+        for t in tops:
+            euler[t] += (-1) ** k
+    if tuple(euler) != poset.mobius[poset.position(x)]:
+        raise InternalInvariantError(f"resolution of {x!r} disagrees with the Mobius function")
+    return res.length
+
+
+def projective_dimensions(poset: Poset, field=QQ) -> tuple[int, ...]:
+    """Projective dimension of each element's simple, in element order; none
+    may exceed the longest chain's element count minus one."""
+    out = tuple(projective_dimension(poset, x, field) for x in poset.elements)
+    bound = poset.longest_chain() - 1
+    if out and max(out) > bound:
+        raise InternalInvariantError(f"global dimension {max(out)} exceeds the chain bound {bound}")
+    return out
+
+
+def global_dimension(poset: Poset, field=QQ) -> int:
     """Max projective dimension of the simples; see ``projective_dimensions``."""
     if not len(poset):
         raise QuiverError("the empty poset has no simples, so no global dimension")
-    return max(projective_dimensions(poset))
+    return max(projective_dimensions(poset, field))

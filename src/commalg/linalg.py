@@ -45,10 +45,8 @@ class Mat:
 
     @classmethod
     def identity(cls, n: int, field=QQ) -> "Mat":
-        out = cls(n, n, field=field)
-        for i in range(n):
-            out.rows[i][i] = field.one
-        return out
+        one, zero = field.one, field.zero
+        return cls._owning([[one if i == j else zero for j in range(n)] for i in range(n)], n, field)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], nrows: int, field=QQ) -> "Mat":
@@ -62,6 +60,9 @@ class Mat:
 
     def column(self, j: int) -> list:
         return [self.rows[i][j] for i in range(self.nrows)]
+
+    def take(self, rows: Sequence[int], cols: Sequence[int]) -> "Mat":
+        return Mat._owning([[self.rows[i][j] for j in cols] for i in rows], len(cols), self.field)
 
     def take_rows(self, indices: Sequence[int]) -> "Mat":
         return Mat._owning([list(self.rows[i]) for i in indices], self.ncols, self.field)
@@ -109,13 +110,16 @@ class Mat:
         rows = [list(r) for r in self.rows]
         pivots: list[int] = []
         r = 0
-        for c in range(self.ncols):
-            pivot = next((i for i in range(r, self.nrows) if rows[i][c]), None)
-            if pivot is None:
+        for c in range(self.ncols if self.nrows else 0):
+            for pivot in range(r, self.nrows):
+                if rows[pivot][c]:
+                    break
+            else:
                 continue
             rows[r], rows[pivot] = rows[pivot], rows[r]
-            inv = self.field.div(self.field.one, rows[r][c])
-            rows[r] = [x * inv if x else x for x in rows[r]]
+            if rows[r][c] != self.field.one:  # pivots of 1 are common: 0/1 inclusions
+                inv = self.field.div(self.field.one, rows[r][c])
+                rows[r] = [x * inv if x else x for x in rows[r]]
             for i in range(self.nrows):
                 if i != r and rows[i][c]:
                     factor = rows[i][c]

@@ -137,6 +137,25 @@ class Poset:
     def _extension(self) -> tuple[int, ...]:
         return _topological_order(self.rows)
 
+    @cached_property
+    def mobius(self) -> tuple[tuple[int, ...], ...]:
+        """The Mobius function as a matrix: mu(i, i) = 1, mu(i, j) = -(sum of
+        mu(i, z) over i <= z < j) for i < j, and 0 when i is not below j.
+        One pass over the related pairs in a linear extension."""
+        strictly_below: list[list[int]] = [[] for _ in self.rows]
+        for i, row in enumerate(self.rows):
+            for j in _bits(row & ~(1 << i)):
+                strictly_below[j].append(i)
+        out = []
+        for i, row in enumerate(self.rows):
+            mu = [0] * len(self.rows)  # zero off [i, j) when j is reached
+            mu[i] = 1
+            for j in self.linear_extension():
+                if j != i and row >> j & 1:
+                    mu[j] = -sum(map(mu.__getitem__, strictly_below[j]))
+            out.append(tuple(mu))
+        return tuple(out)
+
     def pairs(self) -> list[tuple[str, str]]:
         """All related pairs (x, y) with x <= y, row-major."""
         els = self.elements

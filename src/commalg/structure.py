@@ -182,7 +182,7 @@ class ComponentPartition:
 
 
 def _of_rows(cls, **fields):
-    """An instance of a row-stored class, skipping its bool-matrix constructor."""
+    """An instance made from fields known to be valid, skipping its constructor's checks."""
     out = object.__new__(cls)
     out.__dict__.update(fields)  # as cached_property does, past the frozen __setattr__
     return out

@@ -230,7 +230,8 @@ def test_coefficient_value_is_product_of_weights():
             for name in path.arrows:
                 expected *= f.weights.get(name, 1)
             assert f.value(path) == expected
-            assert type(f.value(path)) is Fraction
+            if all(type(f.weights.get(name, 1)) is int for name in path.arrows):
+                assert type(f.value(path)) is int
         checked += 1
 
 

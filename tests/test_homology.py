@@ -4,9 +4,11 @@ from dataclasses import replace
 import pytest
 
 from commalg import (
+    QQ,
     InternalInvariantError,
     Poset,
     PosetRepresentation,
+    PrimeField,
     QuiverError,
     RepMorphism,
     global_dimension,
@@ -16,6 +18,7 @@ from commalg import (
     projective_dimension,
     simple,
 )
+from commalg.homology import _below
 from commalg.linalg import Mat
 from commalg.randgen import random_poset
 
@@ -109,6 +112,21 @@ def test_related_pair_with_no_cover_route_is_caught(monkeypatch):
         PosetRepresentation(p, (1, 1, 1), {(0, 1): Mat(1, 1, [[1]])})
 
 
+def representation_resolution(poset, x, field=QQ):
+    """The reference route on representations: iterated projective covers of
+    kernels.  One step per term: (the module covered, its cover, and the map
+    into the previous term as per-element blocks, the cover followed by the
+    kernel's inclusion)."""
+    covered, inclusion, steps = simple(poset, x, field), None, []
+    while not covered.is_zero():
+        cover = projective_cover(covered)
+        blocks = cover.surjection.blocks if inclusion is None else tuple(
+            a @ b for a, b in zip(inclusion.blocks, cover.surjection.blocks))
+        steps.append((covered, cover, blocks))
+        covered, inclusion = cover.surjection.kernel()
+    return steps
+
+
 def rp2_face_poset():
     """Face poset of the 6-vertex RP2 triangulation with a bottom and a top."""
     triangles = ["123", "134", "145", "156", "126", "235", "245", "246", "346", "356"]
@@ -170,7 +188,7 @@ def test_kernel_maps_match_solving_for_the_coordinates(monkeypatch, poset):
 
     monkeypatch.setattr(RepMorphism, "kernel", recording)
     for x in poset.elements:
-        minimal_resolution(poset, x)
+        representation_resolution(poset, x)
     assert kernels
     for morphism, rep, incl in kernels:
         bases = incl.blocks
@@ -180,6 +198,37 @@ def test_kernel_maps_match_solving_for_the_coordinates(monkeypatch, poset):
                 assert rep.maps[(i, j)] == bases[j].solve(src_map @ bases[i])
             else:
                 assert rep.maps[(i, j)].is_zero()
+
+
+@pytest.mark.parametrize("poset", SEEDED_POSETS)
+def test_scalar_differentials_match_the_representation_route(poset):
+    # the generators are chosen by the same rule, so each scalar differential,
+    # restricted at y, is the composite the representation route builds there
+    for x in poset.elements:
+        res, steps = minimal_resolution(poset, x), representation_resolution(poset, x)
+        assert res.multisets == tuple(cover.multiset for _, cover, _ in steps)
+        assert res.surjection.blocks == steps[0][2]
+        for k, phi in enumerate(res.differentials, 1):
+            at_prev, at = _below(poset, res.covers[k - 1]), _below(poset, res.covers[k])
+            assert tuple(phi.take(r, c) for r, c in zip(at_prev, at)) == steps[k][2]
+
+
+def test_steps_past_the_cover_build_no_morphism(monkeypatch):
+    built = []
+    check = RepMorphism.__post_init__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    def refuse(self):
+        raise AssertionError("a resolution step built a kernel representation")
+
+    monkeypatch.setattr(RepMorphism, "__post_init__", counting)
+    monkeypatch.setattr(RepMorphism, "kernel", refuse)
+    p = rp2_face_poset()
+    assert max(minimal_resolution(p, x).length for x in p.elements) == 3
+    assert len(built) == len(p)  # the step-0 surjections only
 
 
 def test_composite_requires_related():
@@ -320,54 +369,41 @@ def test_resolution_verify_catches_tampering():
     p = chain(3)
     res = minimal_resolution(p, "x0")
     # swap in a zero map at the deepest step
-    bad_maps = list(res.maps)
-    tampered = RepMorphism(
-        bad_maps[-1].source,
-        bad_maps[-1].target,
-        tuple(Mat(b.nrows, b.ncols) for b in bad_maps[-1].blocks),
-    )
-    from commalg.homology import Resolution
-
-    broken = Resolution(res.module, res.covers, res.multisets,
-                        tuple(bad_maps[:-1]) + (tampered,))
-    with pytest.raises(InternalInvariantError):
+    phi = res.differentials[-1]
+    broken = replace(res, differentials=res.differentials[:-1] + (Mat(phi.nrows, phi.ncols),))
+    with pytest.raises(InternalInvariantError, match="homology at step 0, element 1"):
         broken.verify()
 
 
 def test_resolution_verify_catches_a_cover_that_is_not_onto():
     res = minimal_resolution(chain(1), "x0")
-    d0 = res.maps[0]
+    d0 = res.surjection
     zero = RepMorphism(d0.source, d0.target, (Mat(1, 1),))
     with pytest.raises(InternalInvariantError, match="cover 0 not onto at 0"):
-        replace(res, maps=(zero,)).verify()
+        replace(res, surjection=zero).verify()
 
 
 def test_resolution_verify_catches_a_nonzero_composite():
     p = diamond()
     res = minimal_resolution(p, "a")
-    d1, d2 = res.maps[1], res.maps[2]
-    d = p.position("d")
-    # a map out of the projective at d is any vector at d: take one that d1
-    # does not send to zero
+    d1 = res.differentials[0]
+    # a map out of the projective at d is any vector over b and c, both
+    # below d: take one that d1 does not send to zero
     column = next(c for c in (Mat(2, 1, [[1], [0]]), Mat(2, 1, [[0], [1]]))
-                  if not (d1.blocks[d] @ c).is_zero())
-    blocks = d2.blocks[:d] + (column,) + d2.blocks[d + 1:]
-    bad = RepMorphism(d2.source, d2.target, blocks)
+                  if not (d1 @ c).is_zero())
     with pytest.raises(InternalInvariantError, match="d1 after d2 is nonzero at 3"):
-        replace(res, maps=res.maps[:2] + (bad,)).verify()
+        replace(res, differentials=(d1, column)).verify()
 
 
 def test_resolution_verify_catches_a_step_that_is_not_minimal():
     # over a point: K^2 -> K by [1 0], then K -> K^2 onto its kernel, is exact
-    # but splits off a summand, so its image leaves the (zero) radical
+    # but splits off a summand: its entry from P_x0 to P_x0 is nonzero
     p = chain(1)
     res = minimal_resolution(p, "x0")
     cover0 = PosetRepresentation(p, (2,), {})
-    cover1 = PosetRepresentation(p, (1,), {})
-    d0 = RepMorphism(cover0, res.module, (Mat(1, 2, [[1, 0]]),))
-    d1 = RepMorphism(cover1, cover0, (Mat(2, 1, [[0], [1]]),))
-    bad = replace(res, covers=(cover0, cover1), multisets=((("x0", 2),), (("x0", 1),)),
-                    maps=(d0, d1))
+    d0 = RepMorphism(cover0, res.surjection.target, (Mat(1, 2, [[1, 0]]),))
+    bad = replace(res, surjection=d0, covers=((0, 0), (0,)),
+                  differentials=(Mat(2, 1, [[0], [1]]),))
     with pytest.raises(InternalInvariantError, match="step 1 is not minimal at element 0"):
         bad.verify()
 
@@ -375,9 +411,32 @@ def test_resolution_verify_catches_a_step_that_is_not_minimal():
 def test_resolution_verify_catches_an_unfinished_resolution():
     res = minimal_resolution(chain(2), "x0")
     assert res.length == 1
-    cut = replace(res, covers=res.covers[:1], multisets=res.multisets[:1], maps=res.maps[:1])
+    cut = replace(res, covers=res.covers[:1], differentials=())
     with pytest.raises(InternalInvariantError, match="resolution not finished at 1"):
         cut.verify()
+
+
+def test_resolution_verify_catches_a_map_that_does_not_commute():
+    # relabel the generator of term 1 as x0: there is no map P_x0 -> P_x1,
+    # since x1 is not below x0
+    res = minimal_resolution(chain(3), "x1")
+    assert res.covers == ((1,), (2,))
+    with pytest.raises(InternalInvariantError, match=r"morphism d1 does not commute at \(0, 0\)"):
+        replace(res, covers=((1,), (0,))).verify()
+
+
+def test_resolution_verify_catches_differentials_that_do_not_fit():
+    res = minimal_resolution(diamond(), "a")
+    for differentials in (res.differentials[:1], (res.differentials[0], Mat(2, 2))):
+        with pytest.raises(InternalInvariantError, match="differentials do not fit the terms"):
+            replace(res, differentials=differentials).verify()
+
+
+def test_resolution_past_the_chain_bound_is_caught(monkeypatch):
+    p = diamond()
+    monkeypatch.setitem(p.__dict__, "_chain", 2)  # the diamond's longest chain has 3
+    with pytest.raises(InternalInvariantError, match="'a' exceeded the chain bound 2"):
+        minimal_resolution(p, "a")
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -397,7 +456,8 @@ def test_chain_bound_check_is_tight(monkeypatch):
     import commalg.homology as homology
 
     p = diamond()
-    monkeypatch.setattr(homology, "projective_dimension", lambda poset, x: 3 * (x == "a"))
+    monkeypatch.setattr(homology, "projective_dimension",
+                        lambda poset, x, field: 3 * (x == "a"))
     with pytest.raises(InternalInvariantError, match="exceeds the chain bound 2"):
         global_dimension(p)
 
@@ -421,13 +481,89 @@ def test_cover_multiplicities_are_top_dimensions(seed):
     rng = random.Random(2000 + seed)
     p = random_poset(rng.randint(1, 9), rng)
     for x in p.elements:
-        res = minimal_resolution(p, x)
-        covered = res.module
-        for k, multiset in enumerate(res.multisets):
-            if k:
-                covered, _ = res.maps[k - 1].kernel()
+        res, steps = minimal_resolution(p, x), representation_resolution(p, x)
+        assert len(steps) == len(res.multisets)
+        for multiset, (covered, _, _) in zip(res.multisets, steps):
             tops = [
                 (p.elements[y], d - covered.radical_generators(y).rank())
                 for y, d in enumerate(covered.dims)
             ]
             assert multiset == tuple((y, n) for y, n in tops if n)
+
+
+@pytest.mark.parametrize("field, gldim", [(QQ, 3), (PrimeField(2), 4), (PrimeField(3), 3)])
+def test_rp2_global_dimension_depends_on_the_field(field, gldim):
+    # Ext^k(S_bot, S_top) is the reduced H_{k-2} of RP^2: H_2(RP^2; F_2) = F_2
+    # gives Ext^4 over F_2, and it vanishes over QQ and F_3
+    p = rp2_face_poset()
+    assert global_dimension(p, field) == gldim
+    res = minimal_resolution(p, "bot", field)
+    res.verify()
+    assert res.length == gldim
+    if gldim == 4:
+        assert res.multisets[-1] == (("top", 1),)  # the one Ext^4, into S_top
+    assert {phi.field for phi in res.differentials} == {field}
+
+
+def test_representations_carry_their_field():
+    f2 = PrimeField(2)
+    p = diamond()
+    assert projective(p, "a", f2).composite(0, 3).rows == [[f2.one]]
+    assert {m.field for m in simple(p, "b", f2).maps.values()} == {f2}
+    cover = projective_cover(simple(p, "a", f2))
+    assert cover.module.field == f2
+    assert cover.surjection.kernel()[0].field == f2
+
+
+def test_mobius_function():
+    assert chain(3).mobius == ((1, -1, 0), (0, 1, -1), (0, 0, 1))
+    assert diamond().mobius[0] == (1, -1, -1, 1)
+    p = rp2_face_poset()
+    mu = p.mobius[p.position("bot")]
+    # reduced Euler characteristic of RP^2, and of each face's boundary sphere
+    assert mu[p.position("top")] == 0
+    assert {mu[p.position(e)] for e in p.elements if e[0] == "p"} == {-1}
+    assert {mu[p.position(e)] for e in p.elements if e[0] == "e"} == {1}
+    assert {mu[p.position(e)] for e in p.elements if e[0] == "t" and e != "top"} == {-1}
+
+
+@pytest.mark.parametrize("poset", [pytest.param(chain(3), id="chain3"),
+                                   pytest.param(diamond(), id="diamond")] + SEEDED_POSETS)
+def test_mobius_inverts_zeta(poset):
+    # sum over x <= z <= y of mu(x, z) is 1 when x = y, else 0
+    m, rows = len(poset), poset.rows
+    for x in range(m):
+        for y in range(m):
+            total = sum(poset.mobius[x][z] for z in range(m) if rows[z] >> y & 1)
+            assert total == (x == y)
+            assert poset.mobius[x][y] == 0 or rows[x] >> y & 1
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)])
+@pytest.mark.parametrize("poset", [chain(3), diamond(), rp2_face_poset()],
+                         ids=["chain3", "diamond", "rp2"])
+def test_alternating_tops_of_each_resolution_are_mobius(poset, field):
+    for x in poset.elements:
+        res = minimal_resolution(poset, x, field)
+        euler = [sum((-1) ** k * tops.count(y) for k, tops in enumerate(res.covers))
+                 for y in range(len(poset))]
+        assert tuple(euler) == poset.mobius[poset.position(x)]
+
+
+def test_a_resolution_that_disagrees_with_mobius_is_caught(monkeypatch):
+    import commalg.homology as homology
+
+    # drop the last term of the resolution of S_a: with verify switched off,
+    # only the Mobius check is left to notice
+    real = homology.minimal_resolution
+
+    def truncated(poset, x, field):
+        res = real(poset, x, field)
+        if x != "a":
+            return res
+        return replace(res, covers=res.covers[:-1], differentials=res.differentials[:-1])
+
+    monkeypatch.setattr(homology, "minimal_resolution", truncated)
+    monkeypatch.setattr(homology.Resolution, "verify", lambda self: None)
+    with pytest.raises(InternalInvariantError, match="'a' disagrees with the Mobius function"):
+        global_dimension(diamond())
