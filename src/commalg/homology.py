@@ -2,14 +2,14 @@
 
 A representation assigns a vector space over a field (QQ unless one is
 given) to each element and a map to each cover; one a user builds is
-checked, on its support, for composites independent of the route.  A simple
-is covered once by ``projective_cover``; every later term of its minimal
-resolution is a sum of projectives, kept as its tops.  Hom(P_s, P_t) is K
-when t <= s, so each differential is a scalar matrix, and its map at y is
-its block on the tops at or below y.  Every resolution is verified from
-those matrices and checked against the Mobius function, which does not
-depend on the field; the global dimension does (3 over QQ and 4 over F_2
-for the face poset of RP^2), and is below the longest chain's length.
+checked, on its support, for composites independent of the route.  The
+minimal resolution of a simple builds none: each term is a sum of
+projectives, kept as its tops, and Hom(P_s, P_t) is K when t <= s, so each
+differential is a scalar matrix whose map at y is its block on the tops at
+or below y.  Every resolution is verified from those matrices and checked
+against the Mobius function, which does not depend on the field; the
+global dimension does (3 over QQ and 4 over F_2 for the face poset of
+RP^2), and is below the longest chain's length.
 """
 
 from __future__ import annotations
@@ -213,14 +213,15 @@ def projective_cover(rep: PosetRepresentation) -> ProjectiveCover:
 
 @dataclass(frozen=True)
 class Resolution:
-    """A minimal projective resolution of a module, usually a simple.
+    """A minimal projective resolution of the simple at element ``simple``.
 
     Term k sums the projectives at its tops, the element indices
-    ``covers[k]``.  ``surjection`` maps term 0 onto the module resolved, and
+    ``covers[k]``; term 0 is P_simple, which maps onto the simple.
     ``differentials[k - 1]`` is d_k: entry (i, j) scales P_{s_j} -> P_{t_i}
     for s and t the tops of terms k and k - 1."""
 
-    surjection: RepMorphism
+    poset: Poset
+    simple: int
     covers: tuple[tuple[int, ...], ...]
     differentials: tuple[Mat, ...]
 
@@ -230,20 +231,20 @@ class Resolution:
 
     @property
     def multisets(self) -> tuple[tuple[tuple[str, int], ...], ...]:
-        els = self.surjection.target.poset.elements
+        els = self.poset.elements
         return tuple(tuple(Counter(els[t] for t in tops).items()) for tops in self.covers)
 
     def verify(self) -> None:
         """Recheck the resolution from its matrices, by ranks at each element."""
-        module, covers = self.surjection.target, self.covers
-        poset = module.poset
+        poset, covers, x = self.poset, self.covers, self.simple
         if [(len(t), len(s)) for t, s in zip(covers, covers[1:])] != [
                 (phi.nrows, phi.ncols) for phi in self.differentials]:
             raise InternalInvariantError("differentials do not fit the terms")
-        blocks, at = self.surjection.blocks, _below(poset, covers[0])
-        ranks = [blk.rank() if blk.nrows else 0 for blk in blocks]
-        for y in (y for y, d in enumerate(module.dims) if ranks[y] != d):
-            raise InternalInvariantError(f"cover 0 not onto at {y}")
+        if covers[:1] != ((x,),):
+            raise InternalInvariantError(f"term 0 is not the projective cover of the simple at {x}")
+        ranks, at = [int(y == x) for y in range(len(poset))], _below(poset, covers[0])
+        field = self.differentials[0].field if self.differentials else QQ
+        blocks = [Mat.identity(r, field) for r in ranks]  # d0 onto the simple: the identity at x
         for k, (phi, t, s) in enumerate(zip(self.differentials, covers, covers[1:]), 1):
             for i, j in ((i, j) for i, row in enumerate(phi.rows) for j, a in enumerate(row) if a):
                 if not poset.rows[t[i]] >> s[j] & 1:
@@ -275,18 +276,15 @@ def _below(poset: Poset, tops) -> list[list[int]]:
 def minimal_resolution(poset: Poset, x: str, field=QQ) -> Resolution:
     """Minimal projective resolution of the simple at x over ``field``.
 
-    A kernel vector at y is a generator when it lies outside the span of the
-    kernels at the lower covers and the vectors before it, the rule of
-    ``projective_cover``.  Running past longest_chain(poset) steps means the
-    construction is broken."""
-    cover = projective_cover(simple(poset, x, field))
-    tops = tuple(poset.position(e) for e, n in cover.multiset for _ in range(n))
-    covers, differentials = [tops], []
-    blocks, at = cover.surjection.blocks, _below(poset, tops)
+    Term 0 is P_x, with kernel P_x above x.  A kernel vector at y is a
+    generator when it lies outside the span of the kernels at the lower
+    covers and the vectors before it, the rule of ``projective_cover``.
+    Running past longest_chain(poset) steps means the construction is broken."""
+    xi = poset.position(x)
+    tops, covers, differentials, at = (xi,), [(xi,)], [], _below(poset, (xi,))
+    # per element, the kernel basis vectors as {coordinate of the term: entry}
+    kernels = [[{0: field.one}] if y != xi and below else [] for y, below in enumerate(at)]
     for _ in range(poset.longest_chain()):
-        # per element, the kernel basis vectors as {coordinate of the term: entry}
-        kernels = [[dict(zip(at[y], col)) for col in zip(*blk.null_space()[0].rows)]
-                   if at[y] else [] for y, blk in enumerate(blocks)]
         n, tops, columns = len(tops), [], []
         for y, kernel in enumerate(kernels):
             rad = [col for z in poset.lower_covers[y] for col in kernels[z]]
@@ -298,13 +296,14 @@ def minimal_resolution(poset: Poset, x: str, field=QQ) -> Resolution:
             tops += [y] * len(kernel)
             columns += kernel
         if not tops:
-            return Resolution(cover.surjection, tuple(covers), tuple(differentials))
+            return Resolution(poset, xi, tuple(covers), tuple(differentials))
         phi = Mat._owning([[col.get(i, field.zero) for col in columns] for i in range(n)],
                           len(columns), field)
         covers.append(tuple(tops))
         differentials.append(phi)
         at, at_prev = _below(poset, tops), at
-        blocks = [phi.take(rows, cols) if cols else None for rows, cols in zip(at_prev, at)]
+        kernels = [[dict(zip(cols, col)) for col in zip(*phi.take(rows, cols).null_space()[0].rows)]
+                   if cols else [] for rows, cols in zip(at_prev, at)]
     raise InternalInvariantError(
         f"projective resolution of {x!r} exceeded the chain bound {poset.longest_chain()}")
 
@@ -319,7 +318,7 @@ def projective_dimension(poset: Poset, x: str, field=QQ) -> int:
     for k, tops in enumerate(res.covers):
         for t in tops:
             euler[t] += (-1) ** k
-    if tuple(euler) != poset.mobius[poset.position(x)]:
+    if tuple(euler) != poset.mobius[res.simple]:
         raise InternalInvariantError(f"resolution of {x!r} disagrees with the Mobius function")
     return res.length
 

@@ -207,28 +207,42 @@ def test_scalar_differentials_match_the_representation_route(poset):
     for x in poset.elements:
         res, steps = minimal_resolution(poset, x), representation_resolution(poset, x)
         assert res.multisets == tuple(cover.multiset for _, cover, _ in steps)
-        assert res.surjection.blocks == steps[0][2]
+        # term 0: the reference covers the simple by P_x, the identity at x
+        xi = poset.position(x)
+        assert res.covers[0] == (xi,) and steps[0][1].multiset == ((x, 1),)
+        assert [b.rows for b in steps[0][2]] == [[[1]] if y == xi else []
+                                                 for y in range(len(poset))]
         for k, phi in enumerate(res.differentials, 1):
             at_prev, at = _below(poset, res.covers[k - 1]), _below(poset, res.covers[k])
             assert tuple(phi.take(r, c) for r, c in zip(at_prev, at)) == steps[k][2]
 
 
 def test_steps_past_the_cover_build_no_morphism(monkeypatch):
+    import commalg.homology as homology
+
     built = []
-    check = RepMorphism.__post_init__
+    for cls in (RepMorphism, PosetRepresentation):
+        def counting(self, check=cls.__post_init__):
+            built.append(self)
+            check(self)
 
-    def counting(self):
-        built.append(self)
-        check(self)
+        monkeypatch.setattr(cls, "__post_init__", counting)
 
-    def refuse(self):
-        raise AssertionError("a resolution step built a kernel representation")
+    def refuse(*args, **kwargs):
+        raise AssertionError("a resolution built a representation")
 
-    monkeypatch.setattr(RepMorphism, "__post_init__", counting)
+    # the unchecked constructors too: a projective sum or a simple skips __post_init__
+    for name in ("projective_cover", "simple", "projective", "_projective_sum", "_of_rows"):
+        monkeypatch.setattr(homology, name, refuse)
     monkeypatch.setattr(RepMorphism, "kernel", refuse)
     p = rp2_face_poset()
-    assert max(minimal_resolution(p, x).length for x in p.elements) == 3
-    assert len(built) == len(p)  # the step-0 surjections only
+    for x in p.elements:
+        minimal_resolution(p, x).verify()
+        homology.projective_dimension(p, x)
+    assert homology.projective_dimensions(p) == tuple(minimal_resolution(p, x).length
+                                                      for x in p.elements)
+    assert global_dimension(p) == 3
+    assert built == []
 
 
 def test_composite_requires_related():
@@ -376,11 +390,19 @@ def test_resolution_verify_catches_tampering():
 
 
 def test_resolution_verify_catches_a_cover_that_is_not_onto():
-    res = minimal_resolution(chain(1), "x0")
-    d0 = res.surjection
-    zero = RepMorphism(d0.source, d0.target, (Mat(1, 1),))
-    with pytest.raises(InternalInvariantError, match="cover 0 not onto at 0"):
-        replace(res, surjection=zero).verify()
+    # P_x1 -> P_x1 -> 0 fits and is exact, but P_x1 does not map onto S_x0
+    res = minimal_resolution(chain(2), "x0")
+    assert res.covers == ((0,), (1,))
+    with pytest.raises(InternalInvariantError,
+                       match="term 0 is not the projective cover of the simple at 0"):
+        replace(res, covers=((1,), (1,))).verify()
+
+
+def test_resolution_verify_catches_a_resolution_with_no_terms():
+    res = minimal_resolution(chain(2), "x0")
+    with pytest.raises(InternalInvariantError,
+                       match="term 0 is not the projective cover of the simple at 0"):
+        replace(res, covers=(), differentials=()).verify()
 
 
 def test_resolution_verify_catches_a_nonzero_composite():
@@ -396,16 +418,35 @@ def test_resolution_verify_catches_a_nonzero_composite():
 
 
 def test_resolution_verify_catches_a_step_that_is_not_minimal():
-    # over a point: K^2 -> K by [1 0], then K -> K^2 onto its kernel, is exact
-    # but splits off a summand: its entry from P_x0 to P_x0 is nonzero
-    p = chain(1)
-    res = minimal_resolution(p, "x0")
-    cover0 = PosetRepresentation(p, (2,), {})
-    d0 = RepMorphism(cover0, res.surjection.target, (Mat(1, 2, [[1, 0]]),))
-    bad = replace(res, surjection=d0, covers=((0, 0), (0,)),
-                  differentials=(Mat(2, 1, [[0], [1]]),))
+    # over a point: P_x0 -> P_x0 by [1] maps an entry from P_x0 to P_x0
+    res = minimal_resolution(chain(1), "x0")
+    bad = replace(res, covers=((0,), (0,)), differentials=(Mat(1, 1, [[1]]),))
     with pytest.raises(InternalInvariantError, match="step 1 is not minimal at element 0"):
         bad.verify()
+
+
+def test_unknown_elements_are_refused():
+    p = diamond()
+    with pytest.raises(QuiverError, match="unknown element 'zz'"):
+        minimal_resolution(p, "zz")
+    with pytest.raises(QuiverError, match="unknown element 'zz'"):
+        projective_dimension(p, "zz")
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=["QQ", "F2"])
+@pytest.mark.parametrize("poset", [pytest.param(chain(3), id="chain3"),
+                                   pytest.param(diamond(), id="diamond")] + SEEDED_POSETS)
+def test_step_one_is_the_upper_covers(poset, field):
+    # the kernel of P_x onto S_x is generated at the upper covers of x, each
+    # hit once by d1
+    for xi, x in enumerate(poset.elements):
+        res = minimal_resolution(poset, x, field)
+        ups = tuple(sorted(j for i, j in poset.covers if i == xi))
+        if not ups:
+            assert res.covers == ((xi,),) and res.differentials == ()
+            continue
+        assert res.covers[:2] == ((xi,), ups)
+        assert res.differentials[0] == Mat(1, len(ups), [[field.one] * len(ups)], field)
 
 
 def test_resolution_verify_catches_an_unfinished_resolution():
