@@ -7,22 +7,23 @@ cutoff.  The reported dimension is the corank of the relation span.  No
 reachability shortcut is consulted: this is the independent check that the
 pattern-based algebra is measuring the right thing.
 
-With multiplicative coefficients all parallel paths are one class, so the
-report follows from the walk count v -> w of ``count_paths``; paths are
-built only to check, over a prime field with weights, that none vanishes.
-Walk lists and the union-find over two-term relations (``_TwoTermRank``)
-belong to the tabulated branch, which reaches every relation through heads
-x middles x tails walk lists.  These lists and the middle pairs recur for
-every vertex pair of a report, so each ``GeneralCoefficientTable`` memoizes
-them: walk lists as ``(arrows, length)`` pairs keyed by ``(start, end,
-truncation, path_cap)``, and middle pairs keyed by ``(field, start, end,
-truncation, path_cap)``, one ``(p, q, |q|, f(p), f(q), ratio id)`` for each
-walk p before q, with f in the working field and the ratio f(q) / f(p)
-interned per field, so the relation ledger holds int triples.  Middle pairs
-are priced only between nonempty heads and tails, so a lone middle's
-coefficient is never read.  Only successes are stored, so a path-cap
-overflow or a coefficient that vanishes in the field raises again on every
-call.  Reuse one table across calls, as ``pattern_report`` does.
+The unpadded relations f(p) p - f(q) q tie every walk v -> w to the first:
+they span the hyperplane where phi(w) = 1 / f(w) vanishes, so the dimension
+is 1 or 0, and 0 exactly when a padded relation breaks f(p) f(rqs) =
+f(q) f(rps).  With multiplicative coefficients none does, so the report
+follows from the walk count of ``count_paths``; paths are built only to
+check, over a prime field with weights, that none vanishes.  The tabulated
+branch runs heads x middles x tails walk lists and stops at the first
+relation that breaks it.  These lists recur for every vertex pair of a
+report, so each ``GeneralCoefficientTable`` memoizes them: walk lists as
+``(arrows, length)`` pairs keyed by ``(start, end, truncation, path_cap)``,
+and, keyed by ``(field, start, end, truncation, path_cap)``, the middles'
+coefficients in the working field with one ``(p, q, |q|, f(p), f(q))`` for
+each walk p before q.  Middles are priced only between nonempty heads and
+tails, so a lone middle's coefficient is never read.  Only successes are
+stored, so a path-cap overflow or a coefficient that vanishes or is not
+defined in the field raises again on every call.  Reuse one table across
+calls, as ``pattern_report`` does.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class GeneralCoefficientTable:
     quiver: Quiver
     base: CoefficientFunction
     exceptions: Mapping[Path, Rational]
-    # walk lists, middle pairs and ratio ids of the tabulated oracle branch
+    # walk lists, middle coefficients and pairs of the tabulated oracle branch
     _memo: dict = dataclass_field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -114,58 +115,6 @@ class TruncatedQuotientReport:
     certified: bool
 
 
-class _TwoTermRank:
-    """Rank of a span of vectors a*e_i - b*e_j via ratio union-find.
-
-    Each class stores x_k = ratio_k * x_root.  A relation a x_i = b x_j
-    either merges two classes, is redundant, or (on mismatch) proves the
-    class is forced to zero.  rank = n - (number of live classes).
-    """
-
-    def __init__(self, n: int, field=QQ):
-        self.parent = list(range(n))
-        self.ratio = [field.one] * n  # x_i = ratio[i] * x_parent[i]
-        self.dead = [False] * n  # meaningful at roots
-        self.field = field
-
-    def find(self, i: int) -> int:
-        chain = []
-        root = i
-        while self.parent[root] != root:
-            chain.append(root)
-            root = self.parent[root]
-        acc = self.field.one
-        for node in reversed(chain):
-            acc = self.ratio[node] * acc
-            self.ratio[node] = acc
-            self.parent[node] = root
-        return root
-
-    def _root_and_ratio(self, i: int) -> tuple[int, object]:
-        root = self.find(i)
-        return root, self.field.one if i == root else self.ratio[i]
-
-    def relate(self, i: int, j: int, a, b) -> None:
-        """Impose a * x_i == b * x_j with a, b nonzero."""
-        ri, wi = self._root_and_ratio(i)
-        rj, wj = self._root_and_ratio(j)
-        if ri == rj:
-            if a * wi != b * wj:
-                self.dead[ri] = True
-            return
-        # x_ri = (b wj) / (a wi) * x_rj
-        self.parent[ri] = rj
-        self.ratio[ri] = self.field.div(b * wj, a * wi)
-        self.dead[rj] = self.dead[rj] or self.dead[ri]
-
-    def live_classes(self) -> int:
-        roots = {self.find(i) for i in range(len(self.parent))}
-        return sum(1 for r in roots if not self.dead[r])
-
-    def rank(self) -> int:
-        return len(self.parent) - self.live_classes()
-
-
 def truncated_hom_dimension(
     quiver: Quiver,
     table: GeneralCoefficientTable,
@@ -182,14 +131,16 @@ def truncated_hom_dimension(
         raise QuiverError("truncation must be nonnegative")
 
     def coeff(path: Path):
-        # nonzero over the rationals is not enough: the value must stay
-        # nonzero in the working field
+        # a nonzero rational must also be defined and nonzero in the field
         try:
-            return field.nonzero(table.value(path))
-        except QuiverError:
+            value = field.element(table.value(path))
+        except QuiverError as error:
             raise QuiverError(
-                f"coefficient of {path!r} vanishes in {field.name}"
+                f"coefficient of {path!r} is not defined in {field.name}: {error}"
             ) from None
+        if value == field.zero:
+            raise QuiverError(f"coefficient of {path!r} vanishes in {field.name}")
+        return value
 
     if table.is_multiplicative:
         # r (f(p) p - f(q) q) s is a scalar multiple of the plain difference
@@ -199,7 +150,7 @@ def truncated_hom_dimension(
         path_count = count_paths(quiver, source, target, truncation, path_cap)
         if path_count > 1 and isinstance(field, PrimeField) and not table.base.is_trivial:
             for path in enumerate_paths(quiver, source, target, truncation, path_cap):
-                coeff(path)  # raises if it vanishes in the field
+                coeff(path)  # raises unless it is nonzero in the field
         rank = max(path_count - 1, 0)
     else:
         memo = table._memo
@@ -208,23 +159,21 @@ def truncated_hom_dimension(
             key = (a, b, truncation, path_cap)
             found = memo.get(key)
             if found is None:
-                found = [
+                found = memo[key] = [
                     (p.arrows, len(p.arrows))
                     for p in enumerate_paths(quiver, a, b, truncation, cap=path_cap)
                 ]
-                memo[key] = found
             return found
 
-        def middle_pairs(a: str, b: str, middles) -> list[tuple]:
-            # sorted by |q|; a ratio's id is its insertion index in ``ratio_ids``
+        def middle_pairs(a: str, b: str, middles) -> tuple[list, list[tuple]]:
+            # the middles' coefficients, and their pairs sorted by |q|
             key = (field, a, b, truncation, path_cap)
             found = memo.get(key)
             if found is None:
                 coeffs = [coeff(Path(a, arrows, b)) for arrows, _ in middles]
-                found = memo[key] = sorted(
+                found = memo[key] = coeffs, sorted(
                     (
-                        (pa, qa, lq, fp, fq,
-                         ratio_ids.setdefault(field.div(fq, fp), len(ratio_ids)))
+                        (pa, qa, lq, fp, fq)
                         for k, ((pa, _), fp) in enumerate(zip(middles, coeffs))
                         for (qa, lq), fq in zip(middles[k + 1:], coeffs[k + 1:])
                     ),
@@ -232,11 +181,12 @@ def truncated_hom_dimension(
                 )
             return found
 
-        ratio_ids = memo.setdefault(field, {})
-        index = {arrows: k for k, (arrows, _) in enumerate(walks(source, target))}
-        path_count = len(index)
-        solver = _TwoTermRank(path_count, field)
-        seen: set[tuple[int, int, int]] = set()
+        targets = walks(source, target)
+        path_count = len(targets)
+        # every middle list is priced, in (a, b) order, before any relation
+        # is read, so stopping at a broken one skips no coefficient that raises
+        triples = []
+        unpadded = False
         for a in quiver.vertices:
             heads = walks(source, a)
             if not heads:
@@ -248,11 +198,16 @@ def truncated_hom_dimension(
                 tails = walks(b, target)
                 if not tails:
                     continue
-                # pairs run by |q|, walk lists by length, then arrow order:
-                # the first pair, head or tail too long for what is left
-                # ends its loop, and r p s comes before r q s in the index
+                triples.append((heads, middle_pairs(a, b, middles)[1], tails))
+                if a == source and b == target and heads[0][1] == tails[0][1] == 0:
+                    unpadded = True
+
+        def agrees(f: dict) -> bool:
+            # pairs run by |q|, walk lists by length: the first pair, head or
+            # tail too long for what is left ends its loop
+            for heads, pairs, tails in triples:
                 shortest = heads[0][1] + tails[0][1]
-                for pa, qa, lq, fp, fq, ratio in middle_pairs(a, b, middles):
+                for pa, qa, lq, fp, fq in pairs:
                     budget = truncation - lq
                     if budget < shortest:
                         break
@@ -264,21 +219,28 @@ def truncated_hom_dimension(
                         for sa, ls in tails:
                             if ls > room:
                                 break
-                            key = (index[rp + sa], index[rq + sa], ratio)
-                            if key not in seen:
-                                seen.add(key)
-                                solver.relate(key[0], key[1], fp, fq)
-        rank = solver.rank()
+                            if fp * f[rq + sa] != fq * f[rp + sa]:
+                                return False
+            return True
+
+        # one walk or none makes no relation; more lie on the line the
+        # unpadded relations leave, which a breaking relation kills
+        rank = 0
+        if path_count > 1:
+            if not unpadded:
+                raise InternalInvariantError(
+                    f"no unpadded relation among the {path_count} walks from "
+                    f"{source!r} to {target!r}; relations are missing"
+                )
+            coeffs = middle_pairs(source, target, targets)[0]
+            f = {arrows: c for (arrows, _), c in zip(targets, coeffs)}
+            rank = path_count - 1 if agrees(f) else path_count
 
     dimension = path_count - rank
-    if dimension > 1:
-        raise InternalInvariantError(
-            f"truncated dimension {dimension} exceeds 1 at "
-            f"({source!r}, {target!r}); relations are missing"
-        )
-
-    # a reachable target has a path of length at most n - 1
-    reached = path_count > 0 or not count_paths(quiver, source, target, quiver.n - 1)
+    # a reachable target has a path of length at most n - 1, which a
+    # truncation of n - 1 or more has already counted
+    last = quiver.n - 1
+    reached = path_count > 0 or truncation >= last or not count_paths(quiver, source, target, last)
     certified = reached and (table.is_multiplicative or dimension == 0)
     return TruncatedQuotientReport(
         source, target, truncation, path_count, rank, dimension, certified
