@@ -19,11 +19,12 @@ report, so each ``GeneralCoefficientTable`` memoizes them: walk lists as
 ``(arrows, length)`` pairs keyed by ``(start, end, truncation, path_cap)``,
 and, keyed by ``(field, start, end, truncation, path_cap)``, the middles'
 coefficients in the working field with one ``(p, q, |q|, f(p), f(q))`` for
-each walk p before q.  Middles are priced only between nonempty heads and
-tails, so a lone middle's coefficient is never read.  Only successes are
-stored, so a path-cap overflow or a coefficient that vanishes or is not
-defined in the field raises again on every call.  Reuse one table across
-calls, as ``pattern_report`` does.
+each walk p before q.  Pricing a list stops at the first coefficient that
+vanishes or is not defined in the field and stores that failure, which raises
+only where a relation that fits reads it: where the failing walk and the
+list's second walk fit beside the shortest head and tail.  A path-cap
+overflow is not stored and raises again on every call.  Reuse one table
+across calls, as ``pattern_report`` does.
 """
 
 from __future__ import annotations
@@ -165,12 +166,18 @@ def truncated_hom_dimension(
                 ]
             return found
 
-        def middle_pairs(a: str, b: str, middles) -> tuple[list, list[tuple]]:
-            # the middles' coefficients, and their pairs sorted by |q|
+        def middle_pairs(a: str, b: str, middles) -> tuple[list, list[tuple], tuple | None]:
+            # coefficients up to the first failure, pairs by |q|, (length, message)
             key = (field, a, b, truncation, path_cap)
             found = memo.get(key)
             if found is None:
-                coeffs = [coeff(Path(a, arrows, b)) for arrows, _ in middles]
+                coeffs, failure = [], None
+                for arrows, length in middles:
+                    try:
+                        coeffs.append(coeff(Path(a, arrows, b)))
+                    except QuiverError as error:
+                        failure = length, str(error)
+                        break
                 found = memo[key] = coeffs, sorted(
                     (
                         (pa, qa, lq, fp, fq)
@@ -178,13 +185,13 @@ def truncated_hom_dimension(
                         for (qa, lq), fq in zip(middles[k + 1:], coeffs[k + 1:])
                     ),
                     key=itemgetter(2),
-                )
+                ), failure
             return found
 
         targets = walks(source, target)
         path_count = len(targets)
-        # every middle list is priced, in (a, b) order, before any relation
-        # is read, so stopping at a broken one skips no coefficient that raises
+        # every middle list is priced, in (a, b) order, before any relation is
+        # read; its failure raises where a relation that fits reads the walk
         triples = []
         unpadded = False
         for a in quiver.vertices:
@@ -198,7 +205,12 @@ def truncated_hom_dimension(
                 tails = walks(b, target)
                 if not tails:
                     continue
-                triples.append((heads, middle_pairs(a, b, middles)[1], tails))
+                _, pairs, failure = middle_pairs(a, b, middles)
+                if failure:
+                    room = truncation - heads[0][1] - tails[0][1]
+                    if failure[0] <= room and middles[1][1] <= room:
+                        raise QuiverError(failure[1])
+                triples.append((heads, pairs, tails))
                 if a == source and b == target and heads[0][1] == tails[0][1] == 0:
                     unpadded = True
 

@@ -1,9 +1,10 @@
 """Poset skeletons of quivers and their incidence algebras.
 
 Collapsing each path component of a quiver to a single point leaves a finite
-poset (component-level reachability).  The skeleton keeps one representative
-vertex per component; its incidence algebra is a basic model of the quiver's
-commuting algebra, and the two are compared unit by unit here.
+poset (component-level reachability): the condensation, a ``Poset`` of
+``structure``.  The skeleton keeps one representative vertex per component;
+its incidence algebra is a basic model of the quiver's commuting algebra, and
+the two are compared unit by unit here.
 """
 
 from __future__ import annotations
@@ -12,29 +13,15 @@ import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .algebra import CommutingAlgebra, commuting_algebra
 from .errors import InternalInvariantError, QuiverError
 from .fields import QQ
 from .quiver import Arrow, Quiver
-from .structure import (
-    ComponentPartition,
-    ReachabilityPattern,
-    Rows,
-    _bits,
-    _check_preorder,
-    _closure,
-    _covers,
-    _longest_chain,
-    _matrix,
-    _of_rows,
-    _rows,
-    _topological_order,
-)
+from .structure import ComponentPartition, Poset, ReachabilityPattern, _bits
 
 __all__ = [
-    "Poset",
     "HasseDiagram",
     "Skeleton",
     "IncidenceAlgebra",
@@ -47,119 +34,6 @@ __all__ = [
     "end_hom_dims",
     "idempotence_check",
 ]
-
-
-@dataclass(frozen=True, init=False)
-class Poset:
-    """Finite poset: elements and their order as row bitsets; ``leq`` is a cached view."""
-
-    elements: tuple[str, ...]
-    rows: Rows
-
-    def __init__(self, elements: Sequence[str], leq: Sequence[Sequence[bool]]):
-        """Poset of a leq matrix, checked to be a partial order."""
-        elements = tuple(elements)
-        if len(set(elements)) != len(elements):
-            raise QuiverError("poset elements must be pairwise distinct")
-        rows = _rows(leq, len(elements), QuiverError, "leq", antisymmetric=True,
-                     names=elements)
-        self.__dict__.update(elements=elements, rows=rows)
-
-    @classmethod
-    def from_pairs(
-        cls, elements: Sequence[str], pairs: Iterable[tuple[str, str]]
-    ) -> "Poset":
-        """Reflexive-transitive closure of the given strict pairs."""
-        elements = tuple(elements)
-        index = {x: i for i, x in enumerate(elements)}
-        if len(index) != len(elements):
-            raise QuiverError("poset elements must be pairwise distinct")
-        edges = []
-        for x, y in pairs:
-            if x not in index or y not in index:
-                raise QuiverError(f"pair ({x!r}, {y!r}) mentions an unknown element")
-            edges.append((index[x], index[y]))
-        rows = _closure(len(elements), edges)
-        _check_preorder(rows, QuiverError, "leq", antisymmetric=True, names=elements)
-        return _of_rows(cls, elements=elements, rows=rows)
-
-    @cached_property
-    def leq(self) -> tuple[tuple[bool, ...], ...]:
-        return _matrix(self.rows)
-
-    @cached_property
-    def covers(self) -> tuple[tuple[int, int], ...]:
-        """Cover pairs (i, j) of the Hasse diagram, row-major."""
-        return _covers(self.rows)
-
-    @cached_property
-    def lower_covers(self) -> tuple[tuple[int, ...], ...]:
-        """The elements each element covers, ascending; checks that every
-        strict relation i < j ends in a cover (y, j) with i <= y."""
-        lower: list[list[int]] = [[] for _ in self.rows]
-        for i, j in self.covers:
-            lower[j].append(i)
-        ends = [sum(1 << y for y in ys) for ys in lower]
-        for i, row in enumerate(self.rows):
-            if any(not row & ends[j] for j in _bits(row & ~(1 << i))):
-                raise InternalInvariantError("related pair with no cover route")
-        return tuple(map(tuple, lower))
-
-    @cached_property
-    def index(self) -> dict[str, int]:
-        return {x: i for i, x in enumerate(self.elements)}
-
-    def position(self, x: str) -> int:
-        try:
-            return self.index[x]
-        except KeyError:
-            raise QuiverError(f"unknown element {x!r}") from None
-
-    def le(self, x: str, y: str) -> bool:
-        return bool(self.rows[self.position(x)] >> self.position(y) & 1)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def longest_chain(self) -> int:
-        """Largest number of elements in a strictly increasing chain."""
-        return self._chain
-
-    @cached_property
-    def _chain(self) -> int:
-        return _longest_chain(self.rows)
-
-    def linear_extension(self) -> tuple[int, ...]:
-        """Indices in a topological order compatible with leq (deterministic)."""
-        return self._extension
-
-    @cached_property
-    def _extension(self) -> tuple[int, ...]:
-        return _topological_order(self.rows)
-
-    @cached_property
-    def mobius(self) -> tuple[tuple[int, ...], ...]:
-        """The Mobius function as a matrix: mu(i, i) = 1, mu(i, j) = -(sum of
-        mu(i, z) over i <= z < j) for i < j, and 0 when i is not below j.
-        One pass over the related pairs in a linear extension."""
-        strictly_below: list[list[int]] = [[] for _ in self.rows]
-        for i, row in enumerate(self.rows):
-            for j in _bits(row & ~(1 << i)):
-                strictly_below[j].append(i)
-        out = []
-        for i, row in enumerate(self.rows):
-            mu = [0] * len(self.rows)  # zero off [i, j) when j is reached
-            mu[i] = 1
-            for j in self.linear_extension():
-                if j != i and row >> j & 1:
-                    mu[j] = -sum(map(mu.__getitem__, strictly_below[j]))
-            out.append(tuple(mu))
-        return tuple(out)
-
-    def pairs(self) -> list[tuple[str, str]]:
-        """All related pairs (x, y) with x <= y, row-major."""
-        els = self.elements
-        return [(els[i], els[j]) for i, row in enumerate(self.rows) for j in _bits(row)]
 
 
 @dataclass(frozen=True)
@@ -192,10 +66,9 @@ def hasse_quiver(poset: Poset, name: str = "H") -> Quiver:
 class Skeleton:
     """One representative vertex per path component, ordered as a poset.
 
-    Poset elements are named canonically by the smallest-index vertex of
-    each component, so the poset itself never depends on which
-    representatives were chosen.  The poset is the condensation order of the
-    commuting algebra the skeleton carries, and shares its checked rows.
+    The poset is the condensation of the commuting algebra the skeleton
+    carries, the same object: its elements are the first vertex of each
+    component, so it never depends on which representatives were chosen.
     """
 
     quiver: Quiver
@@ -224,10 +97,9 @@ def _skeleton(
     algebra: CommutingAlgebra, representatives: Sequence[str] | None = None
 ) -> Skeleton:
     """The skeleton of an already built commuting algebra's quiver."""
-    partition = algebra.partition
-    canonical = tuple(comp[0] for comp in partition.components)
+    partition, poset = algebra.partition, algebra.condensation
     if representatives is None:
-        representatives = canonical
+        representatives = poset.elements
     else:
         representatives = tuple(representatives)
         if len(representatives) != len(partition):
@@ -239,7 +111,6 @@ def _skeleton(
                 raise QuiverError(
                     f"representative {rep!r} is not in component {ci}"
                 )
-    poset = _of_rows(Poset, elements=canonical, rows=algebra.condensation.rows)
     return Skeleton(algebra.quiver, poset, representatives, algebra)
 
 
@@ -348,10 +219,10 @@ def idempotence_check(poset: Poset) -> bool:
     """Hasse quiver of P, then commuting algebra and skeleton, returns P's data.
 
     The commuting algebra's support pattern must equal leq (as a relation on
-    the elements), and the skeleton of the Hasse quiver must be P itself.
+    the elements), and its condensation, the skeleton's poset, must be P itself.
     """
     hq = hasse_quiver(poset)
     algebra = commuting_algebra(hq)
     if algebra.pattern.reordered(poset.elements).rows != poset.rows:
         return False
-    return _skeleton(algebra).poset == poset
+    return algebra.condensation == poset

@@ -1,15 +1,17 @@
 """Reachability structure of a quiver: closure, components, condensation.
 
-Every order in the package is stored as row bitsets (bit j of row i means
-i <= j) and handled by the private core at the top of this module.  Bool
-matrices are only constructor input, converted and checked in full by
-``_rows``, and views (``bits``, ``relation``, ``Poset.leq``) built when
-first read.  The path components are read off the closure: in a preorder
-two vertices reach each other exactly when their rows are equal.  A closure
+The package has two order types, both stored as row bitsets (bit j of row i
+means i <= j) and handled by the private core at the top of this module: the
+preorder ``ReachabilityPattern`` on the vertices and the partial order
+``Poset``.  Bool matrices are only constructor input, converted and checked
+in full by ``_rows``, and views (``bits``, ``Poset.leq``) built when first
+read.  The path components are read off the closure: in a preorder two
+vertices reach each other exactly when their rows are equal.  A closure
 built here is checked once, at component level, by ``condensation``: each
 member row meets every component all or not at all, and the component
 relation is a partial order.  This implies the vertex-level preorder and is
-the one check of the block shape; the skeleton's poset shares those rows.
+the one check of the block shape.  The condensation is the ``Poset`` on the
+first vertex of each component, and it is the skeleton's poset.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .quiver import Quiver
 __all__ = [
     "ComponentPartition",
     "ReachabilityPattern",
-    "CondensationOrder",
+    "Poset",
     "path_components",
     "reachability",
     "consistent_ordering",
@@ -218,7 +220,7 @@ class ReachabilityPattern:
         return ComponentPartition(tuple(map(tuple, classes.values())))
 
     @cached_property
-    def condensation(self) -> "CondensationOrder":
+    def condensation(self) -> "Poset":
         """The order on this pattern's own path components."""
         return condensation(self.partition, self)
 
@@ -246,23 +248,116 @@ class ReachabilityPattern:
 
 
 @dataclass(frozen=True, init=False)
-class CondensationOrder:
-    """Component-level reachability: a partial order on the components."""
+class Poset:
+    """Finite poset: elements and their order as row bitsets; ``leq`` is a cached view."""
 
+    elements: tuple[str, ...]
     rows: Rows
 
-    def __init__(self, relation: Sequence[Sequence[bool]]):
-        """Order of a bool matrix, checked to be a partial order."""
-        self.__dict__["rows"] = _rows(relation, len(relation), InternalInvariantError,
-                                      "condensation", antisymmetric=True)
+    def __init__(self, elements: Sequence[str], leq: Sequence[Sequence[bool]]):
+        """Poset of a leq matrix, checked to be a partial order."""
+        elements = tuple(elements)
+        if len(set(elements)) != len(elements):
+            raise QuiverError("poset elements must be pairwise distinct")
+        rows = _rows(leq, len(elements), QuiverError, "leq", antisymmetric=True,
+                     names=elements)
+        self.__dict__.update(elements=elements, rows=rows)
+
+    @classmethod
+    def from_pairs(
+        cls, elements: Sequence[str], pairs: Iterable[tuple[str, str]]
+    ) -> "Poset":
+        """Reflexive-transitive closure of the given strict pairs."""
+        elements = tuple(elements)
+        index = {x: i for i, x in enumerate(elements)}
+        if len(index) != len(elements):
+            raise QuiverError("poset elements must be pairwise distinct")
+        edges = []
+        for x, y in pairs:
+            if x not in index or y not in index:
+                raise QuiverError(f"pair ({x!r}, {y!r}) mentions an unknown element")
+            edges.append((index[x], index[y]))
+        rows = _closure(len(elements), edges)
+        _check_preorder(rows, QuiverError, "leq", antisymmetric=True, names=elements)
+        return _of_rows(cls, elements=elements, rows=rows)
 
     @cached_property
-    def relation(self) -> tuple[tuple[bool, ...], ...]:
+    def leq(self) -> tuple[tuple[bool, ...], ...]:
         return _matrix(self.rows)
 
-    @property
-    def m(self) -> int:
-        return len(self.rows)
+    @cached_property
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """Cover pairs (i, j) of the Hasse diagram, row-major."""
+        return _covers(self.rows)
+
+    @cached_property
+    def lower_covers(self) -> tuple[tuple[int, ...], ...]:
+        """The elements each element covers, ascending; checks that every
+        strict relation i < j ends in a cover (y, j) with i <= y."""
+        lower: list[list[int]] = [[] for _ in self.rows]
+        for i, j in self.covers:
+            lower[j].append(i)
+        ends = [sum(1 << y for y in ys) for ys in lower]
+        for i, row in enumerate(self.rows):
+            if any(not row & ends[j] for j in _bits(row & ~(1 << i))):
+                raise InternalInvariantError("related pair with no cover route")
+        return tuple(map(tuple, lower))
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        return {x: i for i, x in enumerate(self.elements)}
+
+    def position(self, x: str) -> int:
+        try:
+            return self.index[x]
+        except KeyError:
+            raise QuiverError(f"unknown element {x!r}") from None
+
+    def le(self, x: str, y: str) -> bool:
+        return bool(self.rows[self.position(x)] >> self.position(y) & 1)
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def longest_chain(self) -> int:
+        """Largest number of elements in a strictly increasing chain."""
+        return self._chain
+
+    @cached_property
+    def _chain(self) -> int:
+        return _longest_chain(self.rows)
+
+    def linear_extension(self) -> tuple[int, ...]:
+        """Indices in a topological order compatible with leq (deterministic)."""
+        return self._extension
+
+    @cached_property
+    def _extension(self) -> tuple[int, ...]:
+        return _topological_order(self.rows)
+
+    @cached_property
+    def mobius(self) -> tuple[tuple[int, ...], ...]:
+        """The Mobius function as a matrix: mu(i, i) = 1, mu(i, j) = -(sum of
+        mu(i, z) over i <= z < j) for i < j, and 0 when i is not below j.
+        One pass over the related pairs in a linear extension."""
+        strictly_below: list[list[int]] = [[] for _ in self.rows]
+        for i, row in enumerate(self.rows):
+            for j in _bits(row & ~(1 << i)):
+                strictly_below[j].append(i)
+        out = []
+        for i, row in enumerate(self.rows):
+            mu = [0] * len(self.rows)  # zero off [i, j) when j is reached
+            mu[i] = 1
+            for j in self.linear_extension():
+                if j != i and row >> j & 1:
+                    mu[j] = -sum(map(mu.__getitem__, strictly_below[j]))
+            out.append(tuple(mu))
+        return tuple(out)
+
+    def pairs(self) -> list[tuple[str, str]]:
+        """All related pairs (x, y) with x <= y, row-major."""
+        els = self.elements
+        return [(els[i], els[j]) for i, row in enumerate(self.rows) for j in _bits(row)]
 
 
 def path_components(quiver: Quiver) -> ComponentPartition:
@@ -287,10 +382,9 @@ def reachability(quiver: Quiver) -> ReachabilityPattern:
     return pattern
 
 
-def condensation(
-    partition: ComponentPartition, pattern: ReachabilityPattern
-) -> CondensationOrder:
-    """Component-level relation, checked to be a partial order.
+def condensation(partition: ComponentPartition, pattern: ReachabilityPattern) -> Poset:
+    """Component-level relation on each component's first vertex, checked to
+    be a partial order.
 
     This is where a closure's block shape is checked: every member row must
     meet each component all or not at all (``_component_row``).
@@ -306,12 +400,13 @@ def condensation(
     rows = [_component_row(i, [pattern.rows[j] & covered for j in js], masks, owner)
             for i, js in enumerate(members)]
     _check_preorder(rows, InternalInvariantError, "condensation", antisymmetric=True)
-    return _of_rows(CondensationOrder, rows=tuple(rows))
+    return _of_rows(Poset, elements=tuple(comp[0] for comp in partition.components),
+                    rows=tuple(rows))
 
 
-def topological_component_order(cond: CondensationOrder) -> tuple[int, ...]:
+def topological_component_order(order: Poset) -> tuple[int, ...]:
     """Topological sort of the components, smallest-index tie-break (Kahn)."""
-    return _topological_order(cond.rows)
+    return order.linear_extension()
 
 
 def consistent_ordering(
@@ -330,6 +425,6 @@ def consistent_ordering(
     return tuple(v for ci in component_order for v in partition.components[ci])
 
 
-def longest_chain(cond: CondensationOrder) -> int:
+def longest_chain(order: Poset) -> int:
     """Largest number of elements in a strictly increasing chain (>= 1)."""
-    return _longest_chain(cond.rows)
+    return order.longest_chain()

@@ -396,10 +396,11 @@ def test_each_wrong_condensation_row_raises_its_message(monkeypatch, flipped, me
 
     def wrong(quiver):
         pattern = reachability(quiver)
-        rows = list(pattern.condensation.rows)
+        order = pattern.condensation
+        rows = list(order.rows)
         rows[flipped[0]] ^= 1 << flipped[1]
         pattern.__dict__["condensation"] = structure._of_rows(
-            structure.CondensationOrder, rows=tuple(rows))
+            structure.Poset, elements=order.elements, rows=tuple(rows))
         return pattern
 
     q = Quiver("abc", [Arrow(*arrow) for arrow in CHAIN])

@@ -334,7 +334,6 @@ def test_format_shorthands(command, shorthand, fmt, two_block_file, capsys):
 
 def _count_stages(monkeypatch, argv, capsys):
     """Run the CLI; count commuting-algebra builds and longest-chain passes."""
-    import commalg.poset
     import commalg.structure
     from commalg.algebra import CommutingAlgebra
 
@@ -350,8 +349,7 @@ def _count_stages(monkeypatch, argv, capsys):
         return chain(rows)
 
     monkeypatch.setattr(CommutingAlgebra, "__init__", counted_init)
-    for module in (commalg.poset, commalg.structure):
-        monkeypatch.setattr(module, "_longest_chain", counted_chain)
+    monkeypatch.setattr(commalg.structure, "_longest_chain", counted_chain)
     code, _, _ = run_cli(argv, capsys)
     assert code == 0
     return counts
@@ -372,6 +370,30 @@ def test_gldim_builds_each_stage_once(monkeypatch, tmp_path, capsys):
     path.write_text(to_dsl(hasse_quiver(random_poset(16, 16016, 0.3))))
     counts = _count_stages(monkeypatch, ["gldim", str(path)], capsys)
     assert counts == {"builds": 1, "chains": 1}
+
+
+def test_gldim_sorts_the_skeleton_order_once(monkeypatch, tmp_path, capsys):
+    # once for the component order and the Mobius pass, once for the chain bound
+    import sys
+
+    import commalg.structure
+
+    code, text, _ = run_cli(["random", "--vertices", "6", "--arrows", "12", "--seed", "1"],
+                            capsys)
+    assert code == 0
+    path = tmp_path / "random.quiver"
+    path.write_text(text)
+    sorts, sort = [], commalg.structure._topological_order
+
+    def counted(rows):
+        sorts.append(len(rows))
+        return sort(rows)
+
+    for name, module in list(sys.modules.items()):  # every module that binds it
+        if name.startswith("commalg") and getattr(module, "_topological_order", None) is sort:
+            monkeypatch.setattr(module, "_topological_order", counted)
+    assert run_cli(["gldim", str(path)], capsys)[0] == 0
+    assert len(sorts) == 2
 
 
 def test_verify_reads_vertex_nondegeneracy_off_the_report(

@@ -189,11 +189,12 @@ def test_tabulated_rank_agrees_with_dense_elimination():
                             )
                         except QuiverError as error:
                             # a refusal names a coefficient the field cannot
-                            # hold; the tabulated branch also prices middles
-                            # that no relation inside the truncation pads
+                            # hold, which a tabulated table reads exactly where
+                            # the dense reference does
                             assert re.search(
                                 rf"(vanishes|is not defined) in {field.name}", str(error)
                             )
+                            assert dense is None or table.is_multiplicative
                             refused += 1
                             continue
                         # a multiplicative table reads only whole walks, whose
@@ -454,6 +455,24 @@ def test_a_coefficient_the_field_cannot_hold_is_not_defined_there():
         ):
             with pytest.raises(QuiverError, match=message):
                 truncated_hom_dimension(q, table, "s", "t", 2, field=PrimeField(3))
+
+
+def test_a_middle_no_fitting_relation_reads_is_not_priced():
+    # a0.a0 is not defined in F2, but at L = 2 only (s, s) has a relation
+    # that reads it: (s, t) pads it with the tail a1, which leaves no room
+    q = Quiver(["s", "t"], [("a0", "s", "s"), ("a1", "s", "t")])
+    table = GeneralCoefficientTable(
+        q, CoefficientFunction.trivial(), {q.path("s", ["a0", "a0"]): Fraction(1, 2)}
+    )
+    f2 = PrimeField(2)
+    report = truncated_hom_dimension(q, table, "s", "t", 2, field=f2)
+    assert (report.path_count, report.relation_rank, report.dimension) == (2, 1, 1)
+    assert report.relation_rank == _dense_relation_rank(q, table, "s", "t", 2, f2)
+    for _ in range(2):  # the stored failure raises again
+        with pytest.raises(QuiverError, match=r"Path\(s:a0.a0:s\) is not defined in F2"):
+            truncated_hom_dimension(q, table, "s", "s", 2, field=f2)
+    with pytest.raises(QuiverError):
+        _dense_relation_rank(q, table, "s", "s", 2, f2)
 
 
 def test_missing_unpadded_relations_raise(monkeypatch):

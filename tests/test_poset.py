@@ -17,7 +17,6 @@ from commalg import (
     skeleton,
     skeleton_iso_incidence,
 )
-from commalg import poset as poset_module
 from commalg import structure
 from commalg.randgen import random_poset, random_quiver, random_sparse_quiver
 from commalg.structure import path_components
@@ -81,12 +80,15 @@ def test_a_skeleton_checks_its_order_once_on_the_component_rows(monkeypatch):
         checked.append(len(rows))
         return check(rows, *args, **kwargs)
 
-    for module in (structure, poset_module):
-        monkeypatch.setattr(module, "_check_preorder", counted_check)
+    monkeypatch.setattr(structure, "_check_preorder", counted_check)
     skel = skeleton(q)
     assert len(skel.poset) < q.n
     assert checked == [len(skel.poset)]
-    assert skel.poset.rows is skel.algebra.condensation.rows
+    # the skeleton's poset is the condensation, and shares its cached sort
+    alg = skel.algebra
+    assert skel.poset is alg.condensation
+    assert skel.poset.elements == tuple(comp[0] for comp in skel.partition.components)
+    assert alg.component_order is alg.condensation.linear_extension()
 
 
 def test_longest_chain():

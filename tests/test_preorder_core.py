@@ -11,7 +11,6 @@ import pytest
 
 from commalg import (
     ComponentPartition,
-    CondensationOrder,
     InternalInvariantError,
     Poset,
     QuiverError,
@@ -107,7 +106,6 @@ def test_validators_accept_exactly_the_definition(seed):
     names = tuple(f"x{i}" for i in range(n))
     cases = [
         (lambda: ReachabilityPattern(names, leq), is_preorder, InternalInvariantError),
-        (lambda: CondensationOrder(leq), is_partial_order, InternalInvariantError),
         (lambda: Poset(names, leq), is_partial_order, QuiverError),
     ]
     for build, accepts, error in cases:
@@ -128,8 +126,6 @@ def test_validators_check_the_shape(seed):
     names = tuple(f"x{k}" for k in range(n))
     with pytest.raises(InternalInvariantError):
         ReachabilityPattern(names, tuple(leq))
-    with pytest.raises(InternalInvariantError):
-        CondensationOrder(tuple(leq))
     with pytest.raises(QuiverError):
         Poset(names, tuple(leq))
     with pytest.raises(InternalInvariantError):
@@ -167,7 +163,7 @@ def test_condensation_rejects_a_partition_that_splits_reachability():
     with pytest.raises(InternalInvariantError, match="depends on the representative"):
         condensation(partition, pattern)
     partition = ComponentPartition((("a",), ("b",), ("c",)))
-    assert condensation(partition, pattern).relation == pattern.bits
+    assert condensation(partition, pattern).leq == pattern.bits
     with pytest.raises(QuiverError):
         condensation(ComponentPartition((("a", "b"), ("zz",))), pattern)
 

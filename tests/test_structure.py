@@ -3,7 +3,7 @@ import random
 import pytest
 
 from commalg import (
-    CondensationOrder,
+    ComponentPartition,
     InternalInvariantError,
     QuiverError,
     ReachabilityPattern,
@@ -90,15 +90,15 @@ def test_pattern_reordered(two_block):
 def test_condensation_two_block(two_block):
     part = path_components(two_block)
     cond = condensation(part, reachability(two_block))
-    assert cond.relation == ((True, True), (False, True))
+    assert cond.leq == ((True, True), (False, True))
     assert longest_chain(cond) == 2
 
 
 def test_condensation_three_block(three_block):
     part = path_components(three_block)
     cond = condensation(part, reachability(three_block))
-    assert cond.m == 3
-    assert cond.relation == (
+    assert len(cond) == 3
+    assert cond.leq == (
         (True, True, True),
         (False, True, True),
         (False, False, True),
@@ -108,15 +108,17 @@ def test_condensation_three_block(three_block):
 
 def test_condensation_single_component(cycle6):
     cond = condensation(path_components(cycle6), reachability(cycle6))
-    assert cond.relation == ((True,),)
+    assert cond.leq == ((True,),)
     assert longest_chain(cond) == 1
 
 
 def test_condensation_validation():
-    with pytest.raises(InternalInvariantError):
-        CondensationOrder(((True, True), (True, True)))  # symmetric pair
-    with pytest.raises(InternalInvariantError):
-        CondensationOrder(((False,),))
+    # a partition that splits the 2-cycle a <-> b leaves a symmetric pair
+    q = Quiver(["a", "b"], [("x", "a", "b"), ("y", "b", "a")])
+    split = ComponentPartition((("a",), ("b",)))
+    with pytest.raises(InternalInvariantError,
+                       match="condensation must be antisymmetric: 0 and 1"):
+        condensation(split, reachability(q))
 
 
 def test_topological_order_tie_break():
@@ -162,13 +164,13 @@ def test_condensation_invariants_random(seed):
     # all-representative agreement and the poset axioms are enforced inside
     cond = condensation(part, pat)
     order = topological_component_order(cond)
-    assert sorted(order) == list(range(cond.m))
+    assert sorted(order) == list(range(len(cond)))
     pos = {c: i for i, c in enumerate(order)}
-    for i in range(cond.m):
-        for j in range(cond.m):
-            if cond.relation[i][j] and i != j:
+    for i in range(len(cond)):
+        for j in range(len(cond)):
+            if cond.leq[i][j] and i != j:
                 assert pos[i] < pos[j]
-    assert 1 <= longest_chain(cond) <= cond.m
+    assert 1 <= longest_chain(cond) <= len(cond)
     # consistent ordering keeps components contiguous
     vorder = consistent_ordering(q, part, pat)
     starts = [vorder.index(part.components[c][0]) for c in order]
