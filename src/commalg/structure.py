@@ -132,10 +132,10 @@ def _topological_order(rows: Rows) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _longest_chain(rows: Rows) -> int:
-    """Most elements in a strictly increasing chain (0 when empty)."""
+def _longest_chain(rows: Rows, extension: Sequence[int]) -> int:
+    """Most elements in a strictly increasing chain (0 when empty), sweeping ``extension``."""
     best = [0] * len(rows)
-    for i in reversed(_topological_order(rows)):
+    for i in reversed(extension):
         best[i] = 1 + max((best[j] for j in _bits(rows[i] & ~(1 << i))), default=0)
     return max(best, default=0)
 
@@ -325,7 +325,7 @@ class Poset:
 
     @cached_property
     def _chain(self) -> int:
-        return _longest_chain(self.rows)
+        return _longest_chain(self.rows, self.linear_extension())
 
     def linear_extension(self) -> tuple[int, ...]:
         """Indices in a topological order compatible with leq (deterministic)."""

@@ -81,10 +81,10 @@ def test_criterion_02_three_block_example():
     assert hasse(skel.poset).cover_pairs() == [("x1", "x5"), ("x5", "x6")]
     gd = global_dimension(skel.poset)
     assert gd == 1
-    assert gd <= skel.poset.longest_chain()
+    assert gd <= skel.poset.longest_chain() - 1
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
-    _report(2, f"dim 27, 3-chain skeleton, gldim 1 <= 3 ({elapsed:.3f}s)")
+    _report(2, f"dim 27, 3-chain skeleton, gldim 1 <= 2 ({elapsed:.3f}s)")
 
 
 def test_criterion_03_cycle_with_chord():
@@ -223,7 +223,7 @@ def test_criterion_07_property_suite():
         # (d) incidence model matches, unit by unit
         skel = skeleton(q)
         iso = skeleton_iso_incidence(skel)
-        assert iso.products_checked == iso.incidence.dimension ** 2
+        assert iso.products_checked == iso.incidence.dimension + n
         checked["iso"] += 1
 
         # (e) the construction is idempotent on its own output
@@ -231,7 +231,7 @@ def test_criterion_07_property_suite():
         checked["idem"] += 1
 
         # (f) global dimension bounded by the longest chain
-        assert global_dimension(skel.poset) <= skel.poset.longest_chain()
+        assert global_dimension(skel.poset) <= skel.poset.longest_chain() - 1
         checked["gldim"] += 1
 
         # (g) Hom spaces between projectives at the representatives

@@ -4,6 +4,8 @@ import random
 import pytest
 
 from commalg import (
+    QQ,
+    CommutingAlgebra,
     InternalInvariantError,
     Poset,
     PrimeField,
@@ -18,6 +20,7 @@ from commalg import (
     skeleton_iso_incidence,
 )
 from commalg import structure
+from commalg.algebra import AlgebraElement
 from commalg.randgen import random_poset, random_quiver, random_sparse_quiver
 from commalg.structure import path_components
 
@@ -181,7 +184,7 @@ def test_representative_independence(two_block):
         skel = skeleton(two_block, choice)
         assert skel.poset == reference
         iso = skeleton_iso_incidence(skel)
-        assert iso.products_checked == iso.incidence.dimension ** 2
+        assert iso.products_checked == iso.incidence.dimension + len(two_block.vertices)
 
 
 def test_incidence_algebra_basis():
@@ -192,30 +195,6 @@ def test_incidence_algebra_basis():
     assert inc.basis == (
         (0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 3), (2, 2), (2, 3), (3, 3),
     )
-
-
-def test_incidence_multiplication():
-    inc = incidence_algebra(chain(3))
-    assert inc.multiply_basis((0, 1), (1, 2)) == (0, 2)
-    assert inc.multiply_basis((0, 1), (0, 1)) is None  # endpoints do not chain
-    assert inc.multiply_basis((0, 0), (0, 2)) == (0, 2)
-    with pytest.raises(QuiverError):
-        inc.multiply_basis((1, 0), (0, 0))  # not a basis pair
-    assert inc.basis_index((0, 0)) == 0
-    with pytest.raises(QuiverError, match=r"\(1, 0\) is not a basis pair"):
-        inc.basis_index((1, 0))
-
-
-@pytest.mark.parametrize("seed", range(15))
-def test_incidence_associativity(seed):
-    p = random_poset(random.Random(seed).randint(1, 5), seed)
-    inc = incidence_algebra(p)
-
-    def mul(a, b):
-        return None if a is None or b is None else inc.multiply_basis(a, b)
-
-    for a, b, c in itertools.product(inc.basis, repeat=3):
-        assert mul(mul(a, b), c) == mul(a, mul(b, c))
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -231,7 +210,7 @@ def test_skeleton_iso_fixtures(two_block, three_block, cycle6):
         skel = skeleton(q)
         iso = skeleton_iso_incidence(skel)
         assert iso.incidence.dimension == len(skel.poset.pairs())
-        assert iso.products_checked == iso.incidence.dimension ** 2
+        assert iso.products_checked == iso.incidence.dimension + len(q.vertices)
         assert len(iso.assignment) == iso.incidence.dimension
         for (i, j), (v, w) in iso.assignment:
             assert v == skel.representatives[i] and w == skel.representatives[j]
@@ -240,7 +219,87 @@ def test_skeleton_iso_fixtures(two_block, three_block, cycle6):
 def test_skeleton_iso_prime_field(two_block):
     iso = skeleton_iso_incidence(skeleton(two_block), field=PrimeField(5))
     assert iso.algebra.field.p == 5
-    assert iso.products_checked == 9
+    assert iso.products_checked == 3 + 6  # one per incidence unit, one per vertex
+
+
+def _mutated_multiply(term):
+    """``CommutingAlgebra.multiply`` passing each product v of entries (i, k)
+    and (k2, j) to ``term(algebra, i, k, k2, j, v)``, which returns the
+    (key, value) to accumulate, or None to drop it."""
+
+    def multiply(self, x, y):
+        zero, acc = self.field.zero, {}
+        for (i, k), xv in x.entries.items():
+            for (k2, j), yv in y.entries.items():
+                out = term(self, i, k, k2, j, xv * yv)
+                if out is not None:
+                    acc[out[0]] = acc.get(out[0], zero) + out[1]
+        for i, j in acc:
+            if not self.pattern.rows[i] >> j & 1:
+                raise InternalInvariantError("product outside the pattern")
+        return AlgebraElement(self, {key: v for key, v in acc.items() if v != zero})
+
+    return multiply
+
+
+def _is_representative(algebra, i):
+    return algebra.order[i] in {c[0] for c in algebra.partition.components}
+
+
+MUTATIONS = {
+    "no middle test": lambda a, i, k, k2, j, v: ((i, j), v),
+    "double every term": lambda a, i, k, k2, j, v: ((i, j), v + v) if k == k2 else None,
+    "double the diagonal": lambda a, i, k, k2, j, v: (
+        ((i, j), v + v if i == j else v) if k == k2 else None),
+    "drop k == j": lambda a, i, k, k2, j, v: ((i, j), v) if k == k2 != j else None,
+    "change the corner": lambda a, i, k, k2, j, v: (
+        ((i, j), v + v if (i, j) == (0, len(a.order) - 1) else v) if k == k2 else None),
+    "triple k == 0": lambda a, i, k, k2, j, v: (
+        ((i, j), v + v + v if k == 0 else v) if k == k2 else None),
+    "key (i, k)": lambda a, i, k, k2, j, v: ((i, k), v) if k == k2 else None,
+    # the products the incidence units never make: a left vertex that is not
+    # its component's representative, which only fullness reaches
+    "drop a non-representative left": lambda a, i, k, k2, j, v: (
+        ((i, j), v) if k == k2 and _is_representative(a, i) else None),
+}
+
+
+def _table_catches(skel, field):
+    """Whether the D^2 table of products of representative units sees a fault."""
+    algebra, reps = skel.algebra.over(field), skel.representatives
+    units = {(i, j): algebra.basis_element(reps[i], reps[j])
+             for i, row in enumerate(skel.poset.rows) for j in structure._bits(row)}
+    try:
+        for (a, b), (c, d) in itertools.product(units, repeat=2):
+            expected = units[a, d] if b == c else algebra.zero()
+            if algebra.multiply(units[a, b], units[c, d]) != expected:
+                return True
+    except InternalInvariantError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=["QQ", "F2"])
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_iso_check_catches_what_the_product_table_catches(monkeypatch, name, field):
+    skeletons = []
+    for seed in range(30):
+        rng = random.Random(seed)
+        skeletons.append(skeleton(random_quiver(rng.randint(1, 8), rng.randint(0, 14), rng)))
+    monkeypatch.setattr(CommutingAlgebra, "multiply", _mutated_multiply(MUTATIONS[name]))
+    table, check = set(), set()
+    for seed, skel in enumerate(skeletons):
+        if _table_catches(skel, field):
+            table.add(seed)
+        try:
+            skeleton_iso_incidence(skel, field)
+        except InternalInvariantError:
+            check.add(seed)
+    assert table <= check
+    if name == "drop a non-representative left":
+        assert not table
+    if name != "triple k == 0" or field is QQ:  # 3 = 1 in F2
+        assert check
 
 
 def test_end_hom_dims(two_block):
@@ -293,6 +352,6 @@ def test_skeleton_random_invariants(seed):
     # poset elements are the canonical component names
     assert skel.poset.elements == tuple(c[0] for c in skel.partition.components)
     iso = skeleton_iso_incidence(skel)
-    assert iso.products_checked == iso.incidence.dimension ** 2
+    assert iso.products_checked == iso.incidence.dimension + len(q.vertices)
     # skeleton of a skeleton's Hasse quiver gives the same poset
     assert idempotence_check(skel.poset)
