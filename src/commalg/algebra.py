@@ -22,7 +22,7 @@ from typing import Mapping
 from .errors import InternalInvariantError, QuiverError
 from .fields import QQ
 from .quiver import Path, Quiver, compose
-from .structure import (ReachabilityPattern, _bits, _of_rows, reachability,
+from .structure import (ReachabilityPattern, _matrix, _of_rows, reachability,
                         topological_component_order)
 
 __all__ = [
@@ -112,32 +112,38 @@ class CommutingAlgebra:
         sizes = self.block_sizes = tuple(map(len, blocks))
         masks = [((1 << d) - 1) << o for d, o in zip(sizes, accumulate(sizes, initial=0))]
         position = {ci: b for b, ci in enumerate(order)}  # component -> block
-        block_rows = [sum(masks[position[cj]] for cj in _bits(cond.rows[ci])) for ci in order]
-        rows = tuple(row for row, d in zip(block_rows, sizes) for _ in range(d))
+        # each block's row over blocks and over vertices: one OR per
+        # condensation edge, sinks first
+        up, vertex_rows = [1 << b for b in range(len(order))], masks[:]
+        for b in reversed(range(len(order))):
+            for cj in cond._succ[order[b]]:
+                up[b] |= up[position[cj]]
+                vertex_rows[b] |= vertex_rows[position[cj]]
+        self.block_rows = tuple(up)  # the condensation in block order
+        rows = tuple(row for row, d in zip(vertex_rows, sizes) for _ in range(d))
         self.pattern = _of_rows(ReachabilityPattern, order=self.order, rows=rows)
-        closure = [base_pattern.rows[base_pattern.index[block[0]]] for block in blocks]
-        self._verify_block_form(masks, block_rows, closure)
+        closure = [base_pattern.rows[quiver.vertex_index[block[0]]] for block in blocks]
+        self._verify_block_form(masks, vertex_rows, closure)
 
     @cached_property
     def block_pattern(self) -> tuple[tuple[bool, ...], ...]:
-        order, rows = self.component_order, self.condensation.rows
-        return tuple(tuple(bool(rows[ci] >> cj & 1) for cj in order) for ci in order)
+        return _matrix(self.block_rows)
 
-    @staticmethod
-    def _verify_block_form(masks: list[int], block_rows: list[int], closure: list[int]) -> None:
-        """Check each block row in topological order; bugs only.
-
-        ``closure`` holds the closure row of each block's first vertex.  The
-        condensation has checked the closure's block shape and antisymmetry.
-        """
-        earlier = 0
-        for b, (mask, row, closure_row) in enumerate(zip(masks, block_rows, closure)):
-            if row & mask != mask:
+    def _verify_block_form(self, masks: list[int], vertex_rows: list[int],
+                           closure: list[int]) -> None:
+        """Check each block row in topological order; bugs only.  Its block
+        must be reflexive in the condensation, and it must hold no earlier
+        block, as many blocks as its condensation row and as many vertices as
+        ``closure``, the closure row of the block's first vertex."""
+        cond_rows, earlier = self.condensation.rows, 0
+        for b, (ci, mask, row) in enumerate(zip(self.component_order, masks, vertex_rows)):
+            if not cond_rows[ci] >> ci & 1:
                 raise InternalInvariantError(f"diagonal block {b} is not full")
             if row & earlier:
                 raise InternalInvariantError("pattern is not block upper triangular "
                                              "under the topological component order")
-            if row.bit_count() != closure_row.bit_count():
+            if (self.block_rows[b].bit_count(), row.bit_count()) != (
+                    cond_rows[ci].bit_count(), closure[b].bit_count()):
                 raise InternalInvariantError(f"block row {b} disagrees with the closure")
             earlier |= mask
 
@@ -194,13 +200,13 @@ class CommutingAlgebra:
         if x.algebra is not self or y.algebra is not self:
             raise QuiverError("elements belong to a different algebra")
         zero = self.field.zero
+        y_rows: dict[int, list[tuple[int, object]]] = {}  # y's entries by row, once
+        for (k, j), yv in y.entries.items():
+            y_rows.setdefault(k, []).append((j, yv))
         acc: dict[tuple[int, int], object] = {}
         for (i, k), xv in x.entries.items():
-            for (k2, j), yv in y.entries.items():
-                if k != k2:
-                    continue
-                current = acc.get((i, j), zero)
-                acc[(i, j)] = current + xv * yv
+            for j, yv in y_rows.get(k, ()):
+                acc[(i, j)] = acc.get((i, j), zero) + xv * yv
         acc = {key: v for key, v in acc.items() if v != zero}
         for (i, j) in acc:
             # closure under multiplication comes from transitivity of the

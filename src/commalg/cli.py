@@ -113,10 +113,7 @@ def _cmd_blockform(args) -> str:
         {
             "order": list(algebra.order),
             "block_sizes": list(algebra.block_sizes),
-            "component_pattern": [
-                "".join("1" if b else "0" for b in row)
-                for row in algebra.block_pattern
-            ],
+            "component_pattern": list(_bitstrings(algebra.block_rows)),
             "pattern": list(algebra.pattern.bitstrings()),
             "total_dimension": algebra.total_dimension(),
             "field": algebra.field.name,

@@ -9,6 +9,10 @@ The format:
     }
 
 "#" starts a line comment, whitespace is insignificant.
+
+``parse_quiver`` matches the header, then each arrow declaration, with one
+regex each.  Text they or ``Quiver`` refuse goes through the token parser from
+the start, whose scanner rejects a bad character before any syntax error.
 """
 
 from __future__ import annotations
@@ -30,6 +34,13 @@ _TOKEN_RE = re.compile(
     rf"|(?P<ident>{_IDENT})"
     r"|(?P<bad>.)"
 )
+# whitespace and comments; a comment ends at a line end, so backtracking is linear
+_S = r"(?:\s|#[^\n]*(?![^\n]))*"
+_HEAD_RE = re.compile(rf"{_S}quiver\b{_S}({_IDENT}){_S}\{{{_S}vertices{_S}:"
+                      rf"({_S}{_IDENT}(?:{_S},{_S}{_IDENT})*){_S};")
+_ARROW_RE = re.compile(rf"{_S}({_IDENT}){_S}:{_S}({_IDENT}){_S}->{_S}({_IDENT}){_S}"
+                       rf"(?:\[{_S}weight{_S}={_S}(-?\d+){_S}(?:/{_S}(\d+){_S})?\]{_S})?;")
+_END_RE = re.compile(rf"{_S}\}}{_S}\Z")
 
 
 class _Stream:
@@ -99,6 +110,25 @@ def _parse_rational(stream: _Stream) -> tuple[Fraction, tuple]:
 
 def parse_quiver(text: str) -> Quiver:
     """Parse DSL text into a Quiver; errors carry line and column."""
+    if head := _HEAD_RE.match(text):
+        arrows, weights, pos = [], {}, head.end()
+        # a zero denominator stops the matches short of the closing brace
+        while (match := _ARROW_RE.match(text, pos)) and int(match[5] or 1):
+            arrows.append(Arrow(*match.group(1, 2, 3)))
+            if match[4] is not None:
+                weights[match[1]] = Fraction(int(match[4]), int(match[5] or 1))
+            pos = match.end()
+        if _END_RE.match(text, pos):
+            vertices = re.findall(_IDENT, re.sub(r"#[^\n]*", "", head[2]))
+            try:
+                return Quiver(vertices, arrows, weights, name=head[1])
+            except QuiverError:
+                pass  # a duplicate, an undeclared vertex or a zero weight
+    return _parse_tokens(text)
+
+
+def _parse_tokens(text: str) -> Quiver:
+    """The token parser: every token checked in turn, the first error raised."""
     stream = _Stream(text)
     stream.expect("ident", "quiver")
     name = stream.expect("ident", what="quiver name")[1]

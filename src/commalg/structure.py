@@ -3,15 +3,16 @@
 The package has two order types, both stored as row bitsets (bit j of row i
 means i <= j) and handled by the private core at the top of this module: the
 preorder ``ReachabilityPattern`` on the vertices and the partial order
-``Poset``.  Bool matrices are only constructor input, converted and checked
-in full by ``_rows``, and views (``bits``, ``Poset.leq``) built when first
-read.  The path components are read off the closure: in a preorder two
-vertices reach each other exactly when their rows are equal.  A closure
-built here is checked once, at component level, by ``condensation``: each
-member row meets every component all or not at all, and the component
-relation is a partial order.  This implies the vertex-level preorder and is
-the one check of the block shape.  The condensation is the ``Poset`` on the
-first vertex of each component, and it is the skeleton's poset.
+``Poset``.  Bool matrices are only constructor input, converted by ``_rows``,
+and views (``bits``, ``Poset.leq``) built when first read.  The closure is
+Tarjan's components, sinks first, each row its mask OR the rows its edges
+reach.  Every order is checked over the edges that generate it (the arrows,
+a poset's pairs, or a matrix's related pairs) by ``_closed_order``: each
+row holds its group, no edge leads back, and each row is its mask OR its
+successors' rows, which on the remaining DAG is reachability.  The path
+components are the classes of equal rows, checked against Tarjan's; the
+condensation is the ``Poset`` on the first vertex of each, and it is the
+skeleton's poset.
 """
 
 from __future__ import annotations
@@ -39,13 +40,11 @@ __all__ = [
 Rows = tuple[int, ...]
 
 
-def _rows(matrix: Sequence[Sequence[bool]], n: int, error: type, what: str, **check) -> Rows:
-    """Row bitsets of an n x n bool matrix, checked by ``_check_preorder(..., **check)``."""
+def _rows(matrix: Sequence[Sequence[bool]], n: int, error: type, what: str) -> Rows:
+    """Row bitsets of an n x n bool matrix."""
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise error(f"{what} matrix is not {n}x{n}")
-    rows = tuple(sum(1 << j for j, b in enumerate(row) if b) for row in matrix)
-    _check_preorder(rows, error, what, **check)
-    return rows
+    return tuple(sum(1 << j for j, b in enumerate(row) if b) for row in matrix)
 
 
 def _bitstrings(rows: Rows) -> tuple[str, ...]:
@@ -65,58 +64,102 @@ def _bits(row: int) -> Iterator[int]:
         row ^= low
 
 
-def _check_preorder(rows: Rows, error: type, what: str, antisymmetric: bool = False,
-                    names: Sequence[object] | None = None) -> None:
-    """Raise ``error`` unless reflexive, transitive and, if asked, antisymmetric."""
-    for i, row in enumerate(rows):
-        if not row >> i & 1:
-            raise error(f"{what} must be reflexive")
-        reach = 0
-        for j in _bits(row):
-            reach |= rows[j]
-            if antisymmetric and j != i and rows[j] >> i & 1:
-                a, b = (names[i], names[j]) if names is not None else (i, j)
-                raise error(f"{what} must be antisymmetric: {a!r} and {b!r} "
-                            "are comparable both ways")
-        if reach != row:
-            raise error(f"{what} must be transitive")
-
-
-def _closure(n: int, pairs: Iterable[tuple[int, int]]) -> Rows:
-    """Reflexive-transitive closure of index pairs on range(n) (Warshall)."""
-    rows = [1 << i for i in range(n)]
+def _successors(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    succ: list[list[int]] = [[] for _ in range(n)]
     for i, j in pairs:
-        rows[i] |= 1 << j
-    for k in range(n):
-        bit, row_k = 1 << k, rows[k]
-        for i, row in enumerate(rows):
-            if row & bit:
-                rows[i] = row | row_k
-    return tuple(rows)
+        succ[i].append(j)
+    return succ
 
 
-def _component_row(i: int, rows: Sequence[int], masks: Sequence[int],
-                   owner: dict[int, int]) -> int:
-    """Row of component i: the components that all its member ``rows`` meet in full."""
-    rest, out = rows[0], 0  # read off the first row's set bits, one test per component
-    while rest:
-        j = owner[(rest & -rest).bit_length() - 1]
-        if rest & masks[j] != masks[j]:
-            break  # rest keeps the part of component j that the row meets
-        rest ^= masks[j]
-        out |= 1 << j
-    for row in rows:
-        rest |= row ^ rows[0]
-    if rest:
-        raise InternalInvariantError(f"reachability between components {i} and "
-                                     f"{owner[next(_bits(rest))]} depends on the representative")
+def _components(n: int, succ: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Strongly connected components, each listed after every one it reaches:
+    reverse topological order (Tarjan, without recursion)."""
+    index, low, stack, out, count = [0] * n, [0] * n, [], [], 0
+    for w in filter(lambda v: not index[v], range(n)):  # each root, w to enter
+        work: list = []
+        while w is not None or work:
+            if w is not None:
+                count += 1
+                index[w] = low[w] = count
+                work.append((w, iter(succ[w]), len(stack)))
+                stack.append(w)
+            v, todo, at = work[-1]
+            for w in todo:
+                if not index[w]:
+                    break
+                if index[w] < low[v]:  # n + 1 once w's component is out
+                    low[v] = index[w]
+            else:
+                work.pop()
+                w = None
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    out.append(stack[at:])
+                    del stack[at:]
+                    for u in out[-1]:
+                        index[u] = n + 1
     return out
 
 
-def _topological_order(rows: Rows) -> tuple[int, ...]:
-    """Kahn's sort of the strict relation, smallest ready index first."""
-    succ = [list(_bits(row & ~(1 << i))) for i, row in enumerate(rows)]
-    indegree = [0] * len(rows)
+def _closure(n: int, pairs: Iterable[tuple[int, int]]) -> Rows:
+    """Reflexive-transitive closure of index pairs on range(n): over Tarjan's
+    components, sinks first, each row is its mask OR the rows its edges reach."""
+    succ, rows = _successors(n, pairs), [0] * n
+    for comp in _components(n, succ):
+        row = 0
+        for v in comp:
+            row |= 1 << v
+            for w in succ[v]:
+                row |= rows[w]  # 0 inside the component, whose rows are not yet set
+        for v in comp:
+            rows[v] = row
+    return tuple(rows)
+
+
+def _depends(i: int, j: int) -> InternalInvariantError:
+    return InternalInvariantError(f"reachability between components {i} and {j} "
+                                  "depends on the representative")
+
+
+def _closed_order(rows: Sequence[int], masks: Sequence[int] | None,
+                  succ: Sequence[Sequence[int]], error: type, what: str,
+                  names: Sequence[object]) -> tuple[Rows, tuple[int, ...]]:
+    """Check the rows of groups of vertices (``masks``, by default one vertex
+    each) over the edges ``succ`` between groups; return the rows over the
+    groups and Kahn's order.  Each row must hold its group whole, no edge may
+    lead back into its source's row, and each row must be its mask OR its
+    successors' rows: on a DAG, that fixed point is reachability.
+    """
+    masks = masks or [1 << c for c in range(len(rows))]
+    for c, (row, mask) in enumerate(zip(rows, masks)):
+        if row & mask != mask:
+            raise _depends(c, c) if row & mask else error(f"{what} must be reflexive")
+        for d in succ[c]:
+            if rows[d] & mask and rows[d] & mask != mask:
+                raise _depends(d, c)
+            if rows[d] & mask:
+                raise error(f"{what} must be antisymmetric: {names[c]!r} and "
+                            f"{names[d]!r} are comparable both ways")
+    try:
+        order = _topological_order(succ)
+    except InternalInvariantError:  # a cycle that no row closes
+        raise error(f"{what} must be transitive") from None
+    up, reach = [0] * len(rows), [0] * len(rows)
+    for c in reversed(order):
+        up[c], reach[c] = 1 << c, masks[c]
+        for d in succ[c]:
+            up[c] |= up[d]
+            reach[c] |= reach[d]
+        if reach[c] != rows[c]:
+            raise error(f"{what} must be transitive" if reach[c] & ~rows[c]
+                        else f"{what} row {c} holds more than its edges reach")
+    return tuple(up), order
+
+
+def _topological_order(succ: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Kahn's sort of the edges ``succ``, smallest ready index first."""
+    indegree = [0] * len(succ)
     for j in (j for js in succ for j in js):
         indegree[j] += 1
     ready = [i for i, d in enumerate(indegree) if not d]  # sorted, so a heap
@@ -127,16 +170,16 @@ def _topological_order(rows: Rows) -> tuple[int, ...]:
             indegree[j] -= 1
             if not indegree[j]:
                 heapq.heappush(ready, j)
-    if len(out) != len(rows):
+    if len(out) != len(succ):
         raise InternalInvariantError("order relation has a cycle")
     return tuple(out)
 
 
-def _longest_chain(rows: Rows, extension: Sequence[int]) -> int:
-    """Most elements in a strictly increasing chain (0 when empty), sweeping ``extension``."""
-    best = [0] * len(rows)
+def _longest_chain(succ: Sequence[Sequence[int]], extension: Sequence[int]) -> int:
+    """Most elements on a path of the edges ``succ`` (0 when empty), sweeping ``extension``."""
+    best = [0] * len(succ)
     for i in reversed(extension):
-        best[i] = 1 + max((best[j] for j in _bits(rows[i] & ~(1 << i))), default=0)
+        best[i] = 1 + max((best[j] for j in succ[i]), default=0)
     return max(best, default=0)
 
 
@@ -183,6 +226,11 @@ class ComponentPartition:
         return len(self.components)
 
 
+def _strict_successors(self) -> list[list[int]]:
+    """Successor lists whose closure is the order: its edges, or its strict rows."""
+    return [list(_bits(row & ~(1 << i))) for i, row in enumerate(self.rows)]
+
+
 def _of_rows(cls, **fields):
     """An instance made from fields known to be valid, skipping its constructor's checks."""
     out = object.__new__(cls)
@@ -198,10 +246,11 @@ class ReachabilityPattern:
     rows: Rows
 
     def __init__(self, order: Sequence[str], bits: Sequence[Sequence[bool]]):
-        """Pattern of a bool matrix, checked to be a preorder."""
+        """Pattern of a bool matrix, checked to be a preorder by its condensation."""
         order = tuple(order)
         rows = _rows(bits, len(order), InternalInvariantError, "pattern")
         self.__dict__.update(order=order, rows=rows)
+        self.condensation  # its checks imply the preorder
 
     @cached_property
     def bits(self) -> tuple[tuple[bool, ...], ...]:
@@ -223,6 +272,8 @@ class ReachabilityPattern:
     def condensation(self) -> "Poset":
         """The order on this pattern's own path components."""
         return condensation(self.partition, self)
+
+    _succ = cached_property(_strict_successors)
 
     def at(self, source: str, target: str) -> bool:
         try:
@@ -259,9 +310,10 @@ class Poset:
         elements = tuple(elements)
         if len(set(elements)) != len(elements):
             raise QuiverError("poset elements must be pairwise distinct")
-        rows = _rows(leq, len(elements), QuiverError, "leq", antisymmetric=True,
-                     names=elements)
+        rows = _rows(leq, len(elements), QuiverError, "leq")
         self.__dict__.update(elements=elements, rows=rows)
+        _, self.__dict__["_extension"] = _closed_order(rows, None, self._succ, QuiverError,
+                                                       "leq", elements)
 
     @classmethod
     def from_pairs(
@@ -277,13 +329,16 @@ class Poset:
             if x not in index or y not in index:
                 raise QuiverError(f"pair ({x!r}, {y!r}) mentions an unknown element")
             edges.append((index[x], index[y]))
-        rows = _closure(len(elements), edges)
-        _check_preorder(rows, QuiverError, "leq", antisymmetric=True, names=elements)
-        return _of_rows(cls, elements=elements, rows=rows)
+        succ = _successors(len(elements), [(i, j) for i, j in edges if i != j])
+        rows, order = _closed_order(_closure(len(elements), edges), None, succ, QuiverError,
+                                    "leq", elements)
+        return _of_rows(cls, elements=elements, rows=rows, _succ=succ, _extension=order)
 
     @cached_property
     def leq(self) -> tuple[tuple[bool, ...], ...]:
         return _matrix(self.rows)
+
+    _succ = cached_property(_strict_successors)
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
@@ -325,7 +380,7 @@ class Poset:
 
     @cached_property
     def _chain(self) -> int:
-        return _longest_chain(self.rows, self.linear_extension())
+        return _longest_chain(self._succ, self.linear_extension())
 
     def linear_extension(self) -> tuple[int, ...]:
         """Indices in a topological order compatible with leq (deterministic)."""
@@ -333,7 +388,7 @@ class Poset:
 
     @cached_property
     def _extension(self) -> tuple[int, ...]:
-        return _topological_order(self.rows)
+        return _topological_order(self._succ)
 
     @cached_property
     def mobius(self) -> tuple[tuple[int, ...], ...]:
@@ -369,26 +424,31 @@ def reachability(quiver: Quiver) -> ReachabilityPattern:
     """Pattern over the declaration order: v reaches w iff a path runs from v to w.
 
     Every vertex reaches itself by its length-zero path.  The closure is
-    checked to hold every arrow and, at component level, to be a preorder.
+    checked to hold every arrow, its condensation to be the closure of the
+    arrows between its classes of equal rows, and those classes to be the
+    strongly connected components: two routes to the components.
     """
-    idx = quiver.vertex_index
+    n, idx = quiver.n, quiver.vertex_index
     pairs = [(idx[a.source], idx[a.target]) for a in quiver.arrows]
-    rows = _closure(quiver.n, pairs)
+    rows = _closure(n, pairs)
     for arrow, (i, j) in zip(quiver.arrows, pairs):
         if not rows[i] >> j & 1:
             raise InternalInvariantError(f"pattern misses arrow {arrow.name!r}")
-    pattern = _of_rows(ReachabilityPattern, order=quiver.vertices, rows=rows)
+    succ = _successors(n, pairs)
+    pattern = _of_rows(ReachabilityPattern, order=quiver.vertices, rows=rows, _succ=succ)
     pattern.condensation  # its checks imply the vertex-level preorder
+    sccs = _components(n, succ)
+    if len(sccs) != len(pattern.partition) or any(rows[v] != rows[c[0]] for c in sccs for v in c):
+        raise InternalInvariantError("strongly connected components are not the classes "
+                                     "of equal rows")
     return pattern
 
 
 def condensation(partition: ComponentPartition, pattern: ReachabilityPattern) -> Poset:
     """Component-level relation on each component's first vertex, checked to
-    be a partial order.
-
-    This is where a closure's block shape is checked: every member row must
-    meet each component all or not at all (``_component_row``).
-    """
+    be a partial order.  This is where a closure's block shape is checked:
+    the member rows of a component must be equal, and ``_closed_order``
+    checks them over the pattern's edges between components."""
     index = pattern.index
     try:
         members = [[index[v] for v in comp] for comp in partition.components]
@@ -397,11 +457,19 @@ def condensation(partition: ComponentPartition, pattern: ReachabilityPattern) ->
     masks = [sum(1 << j for j in js) for js in members]
     owner = {j: c for c, js in enumerate(members) for j in js}
     covered = sum(masks)  # bits of vertices outside the partition are ignored
-    rows = [_component_row(i, [pattern.rows[j] & covered for j in js], masks, owner)
-            for i, js in enumerate(members)]
-    _check_preorder(rows, InternalInvariantError, "condensation", antisymmetric=True)
+    rows = [pattern.rows[js[0]] & covered for js in members]
+    for c, js in enumerate(members):
+        for j in js[1:]:
+            if pattern.rows[j] & covered != rows[c]:
+                raise _depends(c, owner[next(_bits(pattern.rows[j] & covered ^ rows[c]))])
+    succ: list[list[int]] = [[] for _ in members]
+    for i, js in enumerate(pattern._succ):
+        if i in owner:  # edges to another component; a vertex outside counts as inside
+            succ[owner[i]] += (owner[j] for j in js if owner.get(j, owner[i]) != owner[i])
+    up, order = _closed_order(rows, masks, succ, InternalInvariantError, "condensation",
+                              range(len(members)))
     return _of_rows(Poset, elements=tuple(comp[0] for comp in partition.components),
-                    rows=tuple(rows))
+                    rows=up, _succ=succ, _extension=order)
 
 
 def topological_component_order(order: Poset) -> tuple[int, ...]:

@@ -7,6 +7,7 @@ import pytest
 from commalg import (
     CoefficientFunction,
     InternalInvariantError,
+    QQ,
     PrimeField,
     QuiverError,
     commuting_algebra,
@@ -306,6 +307,35 @@ def test_quasi_commuting_random(seed):
         assert len(ent.path) == dist
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_products_match_the_dense_matrix_product(seed):
+    # the sparse product, y's entries grouped by row, against n x n matrices
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    field = QQ if seed % 2 else PrimeField(2)
+    alg = commuting_algebra(random_sparse_quiver(n, rng.randint(0, 2 * n), rng), field)
+    support = [(v, w) for v in alg.order for w in alg.order if alg.hom_dimension(v, w)]
+
+    def draw():
+        picked = rng.sample(support, rng.randint(0, len(support)))
+        return {pair: rng.randint(-3, 3) for pair in picked}
+
+    def dense(entries):
+        matrix = [[field.zero] * n for _ in range(n)]
+        for (v, w), value in entries.items():
+            matrix[alg.position(v)][alg.position(w)] = field.element(value)
+        return matrix
+
+    for _ in range(5):
+        x, y = draw(), draw()
+        a, b = dense(x), dense(y)
+        product = alg.element(x) * alg.element(y)
+        for i, v in enumerate(alg.order):
+            for j, w in enumerate(alg.order):
+                expected = sum((a[i][k] * b[k][j] for k in range(n)), field.zero)
+                assert product.coefficient(v, w) == expected
+
+
 def test_multiply_checks_ownership(two_block):
     alg = commuting_algebra(two_block)
     again = commuting_algebra(two_block)
@@ -337,7 +367,7 @@ def test_a_wrong_closure_fails_the_build(monkeypatch, arrows, dropped):
 def test_a_build_closes_once_and_checks_only_component_rows(monkeypatch):
     q = random_sparse_quiver(60, 120, random.Random(60))
     closures, checked = [], []
-    closure, check = structure._closure, structure._check_preorder
+    closure, check = structure._closure, structure._closed_order
 
     def counted_closure(n, pairs):
         closures.append(n)
@@ -348,7 +378,7 @@ def test_a_build_closes_once_and_checks_only_component_rows(monkeypatch):
         return check(rows, *args, **kwargs)
 
     monkeypatch.setattr(structure, "_closure", counted_closure)
-    monkeypatch.setattr(structure, "_check_preorder", counted_check)
+    monkeypatch.setattr(structure, "_closed_order", counted_check)
     alg = commuting_algebra(q)
     assert len(alg.block_sizes) < q.n
     assert closures == [q.n]
@@ -356,6 +386,30 @@ def test_a_build_closes_once_and_checks_only_component_rows(monkeypatch):
 
 
 CHAIN = (("x", "a", "b"), ("y", "b", "c"))
+
+
+@pytest.mark.parametrize("arrows, added, message", [
+    pytest.param((), (("a", "b"), ("b", "a")),
+                 "strongly connected components are not the classes of equal rows",
+                 id="merged"),
+    pytest.param(CHAIN[:1], (("a", "c"),),
+                 "condensation row 0 holds more than its edges reach", id="too-big"),
+])
+def test_each_closure_with_extra_pairs_raises_its_message(monkeypatch, arrows, added, message):
+    # rows that are closed and hold every arrow, but relate more than paths do
+    q = Quiver("abc", [Arrow(*arrow) for arrow in arrows])
+    closure = structure._closure
+
+    def wrong(n, pairs):
+        rows = list(closure(n, pairs))
+        for i, j in ((q.vertex_index[v], q.vertex_index[w]) for v, w in added):
+            rows[i] |= rows[j]
+        return tuple(rows)
+
+    commuting_algebra(q)
+    monkeypatch.setattr(structure, "_closure", wrong)
+    with pytest.raises(InternalInvariantError, match=message):
+        commuting_algebra(q)
 
 
 @pytest.mark.parametrize("arrows, dropped, message", [
@@ -419,15 +473,17 @@ def test_a_reversed_component_order_is_not_block_upper_triangular(monkeypatch):
 
 
 def test_a_build_tests_each_component_block_shape_once(monkeypatch):
+    # one check of the block shapes, against each component's mask once
     q = random_sparse_quiver(60, 120, random.Random(60))
     tested = []
-    component_row = structure._component_row
+    closed_order = structure._closed_order
 
-    def counted(i, rows, *args):
-        tested.append(i)
-        return component_row(i, rows, *args)
+    def counted(rows, masks, *args):
+        tested.append(list(masks))
+        return closed_order(rows, masks, *args)
 
-    monkeypatch.setattr(structure, "_component_row", counted)
+    monkeypatch.setattr(structure, "_closed_order", counted)
     alg = commuting_algebra(q)
     assert len(alg.block_sizes) < q.n
-    assert tested == list(range(len(alg.block_sizes)))
+    index = q.vertex_index
+    assert tested == [[sum(1 << index[v] for v in comp) for comp in alg.partition.components]]

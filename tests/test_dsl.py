@@ -1,10 +1,11 @@
 import ast
 import re
+import time
 from fractions import Fraction
 
 import pytest
 
-from commalg import ParseError, Quiver, QuiverError, parse_quiver, to_dsl
+from commalg import ParseError, Quiver, QuiverError, dsl, parse_quiver, to_dsl
 from commalg.randgen import random_quiver, random_weights
 import random
 
@@ -209,3 +210,54 @@ def test_error_positions_point_at_the_token():
             errors += 1
             _assert_points_at_token(text, e)
     assert errors > 1000
+
+
+def _outcome(parse, text):
+    """The parsed quiver's fields, or the error's message, line and column."""
+    try:
+        q = parse(text)
+    except ParseError as e:
+        return str(e), e.line, e.column
+    return q.name, q.vertices, q.arrows, q.weights
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_regex_route_agrees_with_the_token_parser(seed):
+    # 0-3 inserts, deletes and splices of a canonical text, so that both
+    # accepted and refused texts reach both routes
+    rng = random.Random(seed)
+    inserts = _MUTATIONS + ["quiver", "weight", "vertices", " ", "\n", "# c\n", "-", "7", "x"]
+    accepted = 0
+    for _ in range(600):
+        q = random_quiver(rng.randint(1, 6), rng.randint(0, 8), rng)
+        text = to_dsl(Quiver(q.vertices, q.arrows, random_weights(q, rng).weights,
+                             name=q.name))
+        for _ in range(rng.randint(0, 3)):
+            at, kind = rng.randint(0, len(text)), rng.randrange(3)
+            if kind == 0:
+                text = text[:at] + rng.choice(inserts) + text[at:]
+            elif kind == 1:
+                text = text[:at] + text[at + rng.randint(1, 3):]
+            else:
+                start = rng.randint(0, len(text))
+                text = text[:at] + text[start:start + rng.randint(1, 12)] + text[at:]
+        expected = _outcome(dsl._parse_tokens, text)
+        assert _outcome(parse_quiver, text) == expected, text
+        accepted += isinstance(expected[1], tuple)
+    assert 100 < accepted < 500
+
+
+def test_a_long_comment_before_an_error_is_read_in_linear_time():
+    # a skip pattern that lets "#" start a comment inside a comment backtracks
+    # through every split of the run, 2 ** 100000 of them
+    text = "quiver Q {\n  vertices: v;\n" + "#" * 100_000 + "\n  !\n}\n"
+    start = time.perf_counter()
+    e = _err(text)
+    assert time.perf_counter() - start < 0.5
+    assert str(e) == "line 4, column 3: unexpected character '!'"
+
+
+def test_quiver_is_a_keyword_not_a_prefix():
+    e = _err("quiverQ { vertices: v; }")
+    assert str(e) == "line 1, column 1: expected 'quiver', found 'quiverQ'"
+    assert parse_quiver("quiver#c\nQ { vertices: v; }").name == "Q"

@@ -77,13 +77,13 @@ def test_from_pairs_rejects_repeats_and_cycles():
 
 def test_a_skeleton_checks_its_order_once_on_the_component_rows(monkeypatch):
     q = random_sparse_quiver(60, 120, random.Random(60))
-    checked, check = [], structure._check_preorder
+    checked, check = [], structure._closed_order
 
     def counted_check(rows, *args, **kwargs):
         checked.append(len(rows))
         return check(rows, *args, **kwargs)
 
-    monkeypatch.setattr(structure, "_check_preorder", counted_check)
+    monkeypatch.setattr(structure, "_closed_order", counted_check)
     skel = skeleton(q)
     assert len(skel.poset) < q.n
     assert checked == [len(skel.poset)]

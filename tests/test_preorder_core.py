@@ -20,6 +20,19 @@ from commalg import (
     path_components,
 )
 from commalg.randgen import random_quiver
+from commalg.structure import _closure
+
+
+def warshall(n, pairs):
+    """Reflexive-transitive closure as row bitsets, k outermost."""
+    rows = [1 << i for i in range(n)]
+    for i, j in pairs:
+        rows[i] |= 1 << j
+    for k in range(n):
+        for i in range(n):
+            if rows[i] >> k & 1:
+                rows[i] |= rows[k]
+    return tuple(rows)
 
 
 def is_preorder(leq):
@@ -197,3 +210,16 @@ def test_path_components_are_mutual_reachability_classes(seed):
             classes.append(tuple(w for w in quiver.vertices
                                  if w in reach[v] and v in reach[w]))
     assert path_components(quiver).components == tuple(classes)
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_closure_matches_warshall(seed):
+    # loops, 2-cycles and parallel pairs included, from sparse to dense
+    rng = random.Random(seed)
+    n = rng.randint(0, 40)
+    pairs = [(rng.randrange(n), rng.randrange(n))
+             for _ in range(rng.randint(0, 3 * n) if n else 0)]
+    for i, j in rng.sample(pairs, min(len(pairs), 4)):
+        pairs += [(j, i), (i, j), (i, i)]
+    rng.shuffle(pairs)
+    assert _closure(n, pairs) == warshall(n, pairs)
