@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii as _quote
 
 from .algebra import commuting_algebra
 from .dsl import parse_quiver, to_dsl
@@ -57,7 +58,37 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """``json.dumps(obj, indent=2)`` and a newline, strings escaped by the C encoder."""
+    return _encode(obj, "\n") + "\n"
+
+
+# exact types only: a subclass goes through json.dumps, as json writes it
+_SCALARS = {
+    str: _quote,
+    int: repr,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _encode(obj, newline: str) -> str:
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    if not obj or not isinstance(obj, (dict, list, tuple)):
+        return json.dumps(obj)  # floats and empty containers, or json's TypeError
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        # every key is a string: _quote refuses any other
+        items = [
+            f"{_quote(key)}: "
+            f"{s(value) if (s := _SCALARS.get(type(value))) else _encode(value, inner)}"
+            for key, value in obj.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    items = [s(item) if (s := _SCALARS.get(type(item))) else _encode(item, inner)
+             for item in obj]
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 
 def _load(args) -> Quiver:

@@ -10,21 +10,23 @@ pattern-based algebra is measuring the right thing.
 The unpadded relations f(p) p - f(q) q tie every walk v -> w to the first:
 they span the hyperplane where phi(w) = 1 / f(w) vanishes, so the dimension
 is 1 or 0, and 0 exactly when a padded relation breaks f(p) f(rqs) =
-f(q) f(rps).  With multiplicative coefficients none does, so the report
-follows from the walk count of ``count_paths``; paths are built only to
-check, over a prime field with weights, that none vanishes.  The tabulated
-branch runs heads x middles x tails walk lists and stops at the first
-relation that breaks it.  These lists recur for every vertex pair of a
-report, so each ``GeneralCoefficientTable`` memoizes them: walk lists as
-``(arrows, length)`` pairs keyed by ``(start, end, truncation, path_cap)``,
-and, keyed by ``(field, start, end, truncation, path_cap)``, the middles'
-coefficients in the working field with one ``(p, q, |q|, f(p), f(q))`` for
-each walk p before q.  Pricing a list stops at the first coefficient that
-vanishes or is not defined in the field and stores that failure, which raises
-only where a relation that fits reads it: where the failing walk and the
-list's second walk fit beside the shortest head and tail.  A path-cap
-overflow is not stored and raises again on every call.  Reuse one table
-across calls, as ``pattern_report`` does.
+f(q) f(rps).  With multiplicative coefficients none does, so the report is
+the walk count; walks are listed only to check, over a prime field with
+weights, that none vanishes.  The tabulated branch runs heads x middles x
+tails walk lists and stops at the first relation that breaks it.
+
+Each ``GeneralCoefficientTable`` memoizes one ``WalksFrom`` per ``(source,
+truncation, path_cap)``: one frontier pass that counts, and where needed
+lists as ``(arrows, length)`` pairs, the walks from the source to every
+target at once, with the length at which each target overflows the cap,
+which raises again on every read.  Keyed by ``(field, start, end,
+truncation, path_cap)`` it keeps the middles' coefficients in the working
+field with one ``(p, q, |q|, f(p), f(q))`` for each walk p before q.
+Pricing a list stops at the first coefficient that vanishes or is not
+defined in the field and stores that failure, which raises only where a
+relation that fits reads it: where the failing walk and the list's second
+walk fit beside the shortest head and tail.  Reuse one table across calls,
+as ``pattern_report`` does.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from typing import Mapping
 from .algebra import CoefficientFunction
 from .errors import InternalInvariantError, QuiverError
 from .fields import QQ, PrimeField
-from .quiver import Path, Quiver, count_paths, enumerate_paths
+# enumerate_paths stays bound here, where a test patches it to show the oracle builds no path
+from .quiver import Path, Quiver, WalksFrom, count_paths, enumerate_paths  # noqa: F401
 from .structure import reachability
 
 __all__ = [
@@ -65,7 +68,7 @@ class GeneralCoefficientTable:
     quiver: Quiver
     base: CoefficientFunction
     exceptions: Mapping[Path, Rational]
-    # walk lists, middle coefficients and pairs of the tabulated oracle branch
+    # one walk pass per source; middle coefficients and pairs of the tabulated branch
     _memo: dict = dataclass_field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -143,29 +146,34 @@ def truncated_hom_dimension(
             raise QuiverError(f"coefficient of {path!r} vanishes in {field.name}")
         return value
 
+    quiver.check_vertex(source)
+    quiver.check_vertex(target)
+    memo = table._memo
+    # walks are listed only where a coefficient other than one is read
+    lists = not table.is_multiplicative or (
+        isinstance(field, PrimeField) and not table.base.is_trivial
+    )
+
+    def walks_from(a: str) -> WalksFrom:
+        # one frontier pass per source serves every target
+        key = (a, truncation, path_cap)
+        found = memo.get(key)
+        if found is None or (lists and found.lists is None):
+            found = memo[key] = WalksFrom(quiver, a, truncation, path_cap, lists)
+        return found
+
+    from_source = walks_from(source)
     if table.is_multiplicative:
         # r (f(p) p - f(q) q) s is a scalar multiple of the plain difference
         # f(rps) rps - f(rqs) rqs, so padding never adds new relations; each
         # f(p_0) p_0 = f(p_k) p_k ties one more path to the first, so the
         # relations have rank one less than the path count
-        path_count = count_paths(quiver, source, target, truncation, path_cap)
-        if path_count > 1 and isinstance(field, PrimeField) and not table.base.is_trivial:
-            for path in enumerate_paths(quiver, source, target, truncation, path_cap):
-                coeff(path)  # raises unless it is nonzero in the field
+        path_count = from_source.count(target)
+        if path_count > 1 and lists:
+            for arrows, _ in from_source.walks(target):
+                coeff(Path(source, arrows, target))  # raises unless nonzero in the field
         rank = max(path_count - 1, 0)
     else:
-        memo = table._memo
-
-        def walks(a: str, b: str) -> list[tuple[tuple[str, ...], int]]:
-            key = (a, b, truncation, path_cap)
-            found = memo.get(key)
-            if found is None:
-                found = memo[key] = [
-                    (p.arrows, len(p.arrows))
-                    for p in enumerate_paths(quiver, a, b, truncation, cap=path_cap)
-                ]
-            return found
-
         def middle_pairs(a: str, b: str, middles) -> tuple[list, list[tuple], tuple | None]:
             # coefficients up to the first failure, pairs by |q|, (length, message)
             key = (field, a, b, truncation, path_cap)
@@ -188,21 +196,22 @@ def truncated_hom_dimension(
                 ), failure
             return found
 
-        targets = walks(source, target)
+        targets = from_source.walks(target)
         path_count = len(targets)
         # every middle list is priced, in (a, b) order, before any relation is
         # read; its failure raises where a relation that fits reads the walk
         triples = []
         unpadded = False
         for a in quiver.vertices:
-            heads = walks(source, a)
+            heads = from_source.walks(a)
             if not heads:
                 continue
+            from_a = walks_from(a)
             for b in quiver.vertices:
-                middles = walks(a, b)
+                middles = from_a.walks(b)
                 if len(middles) < 2:
                     continue
-                tails = walks(b, target)
+                tails = walks_from(b).walks(target)
                 if not tails:
                     continue
                 _, pairs, failure = middle_pairs(a, b, middles)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Rational
@@ -16,17 +17,24 @@ __all__ = [
     "Quiver",
     "compose",
     "is_parallel",
+    "WalksFrom",
     "count_paths",
     "enumerate_paths",
     "to_dot",
 ]
 
 
-@dataclass(frozen=True)
-class Arrow:
-    name: str
-    source: str
-    target: str
+class Arrow(namedtuple("Arrow", "name source target")):
+    """An arrow ``name: source -> target``: an immutable triple, equal only to arrows."""
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        return isinstance(other, Arrow) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
 
 
 @dataclass(frozen=True)
@@ -181,65 +189,91 @@ def is_parallel(p: Path, q: Path) -> bool:
     return p.start == q.start and p.end == q.end
 
 
+class WalksFrom:
+    """The walks from ``source`` of length at most ``max_length``, by end vertex.
+
+    One frontier pass counts the walks to every end at once; with ``lists``
+    it also keeps each end's walks as ``(arrows, length)`` pairs, by length,
+    then lexicographically by arrow declaration order, building no ``Path``.
+    With ``cap`` set, an end overflows at the first length where the walks of
+    that length, or the walks to that end so far, exceed it, and a length is
+    listed only once its walks are within the cap.
+    """
+
+    def __init__(self, quiver: Quiver, source: str, max_length: int,
+                 cap: int | None = None, lists: bool = False):
+        quiver.check_vertex(source)
+        if max_length < 0:
+            raise QuiverError("max_length must be nonnegative")
+        if cap is not None and cap < 0:
+            raise QuiverError("path cap must be nonnegative")
+        self.source, self.cap, self.spill, self.over = source, cap, None, {}
+        counts = self.counts = {source: 1}
+        self.lists = {source: [((), 0)]} if lists else None
+        frontier, level = {source: 1}, [((), source)]
+        for length in range(1, max_length + 1):
+            previous, frontier = frontier, {}
+            for at, walks in previous.items():
+                for _, _, end in quiver.arrows_from[at]:
+                    frontier[end] = frontier.get(end, 0) + walks
+            if not frontier:
+                break
+            # only an end reached at this length can newly exceed the cap: the
+            # source's length-0 walk exceeds a cap of 0 where the frontier does
+            for end, walks in frontier.items():
+                counts[end] = total = counts.get(end, 0) + walks
+                if cap is not None and total > cap:
+                    self.over.setdefault(end, length)
+            if cap is not None and sum(frontier.values()) > cap:
+                self.spill = length  # every end overflows here
+                break
+            if lists:
+                level = [(arrows + (name,), end) for arrows, at in level
+                         for name, _, end in quiver.arrows_from[at]]
+                for arrows, end in level:
+                    self.lists.setdefault(end, []).append((arrows, length))
+
+    def count(self, target: str) -> int:
+        """The walks to ``target``; raises TruncationOverflowError where it overflows."""
+        length = self.over.get(target, self.spill)
+        if length is not None:
+            raise TruncationOverflowError(
+                f"path count from {self.source!r} to {target!r} exceeds cap {self.cap} "
+                f"at length {length}"
+            )
+        return self.counts.get(target, 0)
+
+    def walks(self, target: str) -> list[tuple[tuple[str, ...], int]]:
+        self.count(target)  # raises where the count overflows
+        return self.lists.get(target, [])
+
+
 def count_paths(
     quiver: Quiver, source: str, target: str, max_length: int, cap: int | None = None
 ) -> int:
     """Number of paths from ``source`` to ``target`` of length at most ``max_length``.
 
-    Counts walks per end vertex and length, up to the first length with none.
     With ``cap`` set, raises TruncationOverflowError at the first length where
     the walks of that length from ``source`` or the matches so far exceed it.
     """
     quiver.check_vertex(source)
     quiver.check_vertex(target)
-    if max_length < 0:
-        raise QuiverError("max_length must be nonnegative")
-    if cap is not None and cap < 0:
-        raise QuiverError("path cap must be nonnegative")
-    frontier = {source: 1}
-    matches = int(source == target)
-    for length in range(1, max_length + 1):
-        previous, frontier = frontier, {}
-        for at, walks in previous.items():
-            for arrow in quiver.arrows_from[at]:
-                frontier[arrow.target] = frontier.get(arrow.target, 0) + walks
-        if not frontier:
-            break
-        matches += frontier.get(target, 0)
-        if cap is not None and (sum(frontier.values()) > cap or matches > cap):
-            raise TruncationOverflowError(
-                f"path count from {source!r} to {target!r} exceeds cap {cap} "
-                f"at length {length}"
-            )
-    return matches
+    return WalksFrom(quiver, source, max_length, cap).count(target)
 
 
 def enumerate_paths(
-    quiver: Quiver,
-    source: str,
-    target: str,
-    max_length: int,
-    cap: int | None = None,
+    quiver: Quiver, source: str, target: str, max_length: int, cap: int | None = None
 ) -> list[Path]:
     """All paths from ``source`` to ``target`` of length at most ``max_length``.
 
     Ordered by length, then lexicographically by arrow declaration order.  The
-    length-0 path appears exactly when source == target.  ``count_paths``
-    checks the arguments and the cap before any path is built.
+    length-0 path appears exactly when source == target.  The cap is that of
+    ``count_paths``, checked at each length before its walks are listed.
     """
-    count_paths(quiver, source, target, max_length, cap)
-    frontier = [quiver.vertex_path(source)]
-    results = frontier[:] if source == target else []
-    for _ in range(max_length):
-        frontier = [
-            Path(path.start, path.arrows + (arrow.name,), arrow.target)
-            for path in frontier
-            for arrow in quiver.arrows_from[path.end]
-        ]
-        if not frontier:
-            break
-        results += [path for path in frontier if path.end == target]
-    return results
+    quiver.check_vertex(source)
+    quiver.check_vertex(target)
+    walks = WalksFrom(quiver, source, max_length, cap, lists=True).walks(target)
+    return [Path(source, arrows, target) for arrows, _ in walks]
 
 
 def to_dot(quiver: Quiver) -> str:

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from commalg import InternalInvariantError, parse_quiver
 from commalg import cli
@@ -495,3 +496,34 @@ def test_verify_reports_a_failed_iso_check(two_block_file, monkeypatch, capsys):
     assert "FAIL skeleton_iso_incidence" in lines
     assert lines[-1] == "OVERALL FAIL"
     assert sum(line.startswith("FAIL ") for line in lines) == 1
+
+
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=10**40)
+    | st.floats() | st.text() | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é☃😀", ""])
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_VALUES)
+@example({"quote \" and \\": ["\n\t\x01", "naïve ☃ 😀", 10**60, -(10**60)]})
+@example([[], {}, (), [[]], {"a": {}}, ({"b": ()},), None, True, False, 0])
+def test_json_writes_the_bytes_of_json_dumps(obj):
+    assert cli._json(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+def test_json_refuses_what_json_dumps_refuses():
+    for obj in ([object()], {"a": {1, 2}}):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(obj, indent=2)
+        with pytest.raises(TypeError) as caught:
+            cli._json(obj)
+        assert str(caught.value) == str(expected.value)
+    with pytest.raises(TypeError):  # no payload has a key other than a string
+        cli._json({1: "one"})

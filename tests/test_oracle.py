@@ -22,7 +22,7 @@ from commalg import (
 from commalg.cli import run
 from commalg.examples import TWO_BLOCK_DSL
 from commalg.linalg import Mat
-from commalg.quiver import Path, Quiver, count_paths, enumerate_paths
+from commalg.quiver import Path, Quiver, WalksFrom, count_paths, enumerate_paths
 from commalg.randgen import random_quiver, random_sparse_quiver, random_weights
 from commalg.structure import reachability
 from commalg.fields import QQ
@@ -477,10 +477,11 @@ def test_a_middle_no_fitting_relation_reads_is_not_priced():
 
 def test_missing_unpadded_relations_raise(monkeypatch):
     # without length-0 walks no relation ties the walks a and b together
-    def no_trivial_walks(*args, **kwargs):
-        return [p for p in enumerate_paths(*args, **kwargs) if p.arrows]
+    class NoTrivialWalks(WalksFrom):
+        def walks(self, target):
+            return [(arrows, length) for arrows, length in super().walks(target) if arrows]
 
-    monkeypatch.setattr("commalg.oracle.enumerate_paths", no_trivial_walks)
+    monkeypatch.setattr("commalg.oracle.WalksFrom", NoTrivialWalks)
     q = Quiver(["s", "t"], [("a", "s", "t"), ("b", "s", "t")])
     table = GeneralCoefficientTable(q, CoefficientFunction.trivial(), {q.path("s", ["a"]): 2})
     with pytest.raises(InternalInvariantError, match="relations are missing"):
@@ -540,3 +541,137 @@ def test_verify_builds_no_path_in_the_oracle(field, monkeypatch, capsys):
     assert run(["verify", "--field", field, "-"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == TWO_BLOCK_VERIFY_SHA256
+
+
+class PerPairWalks:
+    """The walks the oracle read before the per-source pass: one frontier per pair.
+
+    ``count`` is ``count_paths`` as it stood, and ``walks`` is
+    ``enumerate_paths`` as it stood, counting first and then listing every walk
+    from the source as a ``Path``.  Lists are kept per pair, as the old memo
+    kept them; an overflow is recounted on every read.  ``binds`` tallies
+    which side of the cap rule each overflow met first.
+    """
+
+    binds = {"frontier": 0, "matches": 0}
+
+    def __init__(self, quiver, source, max_length, cap=None, lists=False):
+        quiver.check_vertex(source)
+        if max_length < 0:
+            raise QuiverError("max_length must be nonnegative")
+        if cap is not None and cap < 0:
+            raise QuiverError("path cap must be nonnegative")
+        self.args, self.lists, self.listed = (quiver, source, max_length, cap), lists, {}
+
+    def count(self, target):
+        quiver, source, max_length, cap = self.args
+        frontier = {source: 1}
+        matches = int(source == target)
+        for length in range(1, max_length + 1):
+            previous, frontier = frontier, {}
+            for at, walks in previous.items():
+                for arrow in quiver.arrows_from[at]:
+                    frontier[arrow.target] = frontier.get(arrow.target, 0) + walks
+            if not frontier:
+                break
+            matches += frontier.get(target, 0)
+            if cap is not None and (sum(frontier.values()) > cap or matches > cap):
+                side = "frontier" if sum(frontier.values()) > cap else "matches"
+                PerPairWalks.binds[side] += 1
+                raise TruncationOverflowError(
+                    f"path count from {source!r} to {target!r} exceeds cap {cap} "
+                    f"at length {length}"
+                )
+        return matches
+
+    def walks(self, target):
+        self.count(target)
+        if target not in self.listed:
+            quiver, source, max_length, _ = self.args
+            frontier = [quiver.vertex_path(source)]
+            results = frontier[:] if source == target else []
+            for _ in range(max_length):
+                frontier = [
+                    Path(path.start, path.arrows + (arrow.name,), arrow.target)
+                    for path in frontier
+                    for arrow in quiver.arrows_from[path.end]
+                ]
+                if not frontier:
+                    break
+                results += [path for path in frontier if path.end == target]
+            self.listed[target] = [(p.arrows, len(p.arrows)) for p in results]
+        return self.listed[target]
+
+
+def _report_outcome(q, table, truncation, cap, field):
+    # a fresh table, so that no memo entry crosses from one route to the other
+    fresh = GeneralCoefficientTable(q, table.base, table.exceptions)
+    try:
+        return pattern_report(q, truncation, fresh, cap, field)
+    except (QuiverError, InternalInvariantError) as error:
+        return type(error), str(error)
+
+
+def test_per_source_walks_match_the_per_pair_reference(monkeypatch):
+    monkeypatch.setattr(PerPairWalks, "binds", {"frontier": 0, "matches": 0})
+    outcomes = {"reports": 0, "overflow": 0, "cap 0": 0, "field": 0}
+    for seed in range(24):
+        rng = random.Random(2200 + seed)
+        n = rng.randint(1, 4)
+        q = random_quiver(n, rng.randint(0, 2 * n), rng)
+        tables = [
+            GeneralCoefficientTable.trivial(q),
+            GeneralCoefficientTable.multiplicative(q, random_weights(q, rng)),
+            _tabulated_table(q, rng, 2),
+        ]
+        for table in tables:
+            for field in (QQ, PrimeField(3)):
+                for truncation in range(n + 3):
+                    for cap in (None, 0, 1, 2, 4, 9, 30):
+                        actual = _report_outcome(q, table, truncation, cap, field)
+                        with monkeypatch.context() as patched:
+                            patched.setattr("commalg.oracle.WalksFrom", PerPairWalks)
+                            expected = _report_outcome(q, table, truncation, cap, field)
+                        assert actual == expected
+                        if isinstance(actual, list):
+                            outcomes["reports"] += 1
+                        elif actual[0] is TruncationOverflowError:
+                            outcomes["cap 0" if cap == 0 else "overflow"] += 1
+                        else:
+                            outcomes["field"] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+    assert min(PerPairWalks.binds.values()) >= 100, PerPairWalks.binds
+
+
+def test_reports_read_one_frontier_pass_per_source(monkeypatch):
+    passes = []
+    original = WalksFrom.__init__
+
+    def counting(self, quiver, source, max_length, *args, **kwargs):
+        passes.append((source, max_length))
+        original(self, quiver, source, max_length, *args, **kwargs)
+
+    monkeypatch.setattr(WalksFrom, "__init__", counting)
+    for seed in range(12):
+        rng = random.Random(seed)
+        n = rng.randint(2, 6)
+        q = random_quiver(n, n + 2, rng)
+        weights = random_weights(q, rng)
+        for table, field in (
+            (GeneralCoefficientTable.trivial(q), QQ),
+            (GeneralCoefficientTable.multiplicative(q, weights), PrimeField(1000003)),
+            (_tabulated_table(q, rng, 2), QQ),
+        ):
+            for truncation in range(n + 3):
+                passes.clear()
+                fresh = GeneralCoefficientTable(q, table.base, table.exceptions)
+                reports = pattern_report(q, truncation, fresh, path_cap=None, field=field)
+                assert sorted(s for s, length in passes if length == truncation) == sorted(
+                    q.vertices
+                )
+                # below n - 1, count_paths counts each pair without a walk again,
+                # to n - 1, to decide whether its report is certified
+                recounts = [(r.source, n - 1) for r in reports if r.path_count == 0]
+                assert [p for p in passes if p[1] != truncation] == (
+                    recounts if truncation < n - 1 else []
+                )

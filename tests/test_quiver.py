@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -270,6 +272,22 @@ def test_quiver_equality_roundtrip(two_block):
     other = Quiver(two_block.vertices, two_block.arrows, {"a1": 2},
                    name=two_block.name)
     assert other != two_block
+
+
+def test_arrow_is_an_immutable_value_equal_only_to_arrows():
+    a = Arrow("a", "v", "w")
+    assert (a.name, a.source, a.target) == ("a", "v", "w")
+    assert a == Arrow(name="a", source="v", target="w") and not a != Arrow("a", "v", "w")
+    assert a != Arrow("a", "v", "x") and not a == Arrow("a", "v", "x")
+    for other in (("a", "v", "w"), ["a", "v", "w"], "a"):
+        assert a != other and other != a and not a == other and not other == a
+    assert hash(a) == hash(Arrow("a", "v", "w"))
+    assert repr(a) == "Arrow(name='a', source='v', target='w')"
+    assert copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
+    for attribute in ("name", "target", "weight"):
+        with pytest.raises(AttributeError):
+            setattr(a, attribute, "x")
+    assert a == Arrow("a", "v", "w")
 
 
 def test_arrow_and_path_are_hashable():
