@@ -6,10 +6,11 @@ checked, on its support, for composites independent of the route.  The
 minimal resolution of a simple builds none: each term is a sum of
 projectives, kept as its tops, and Hom(P_s, P_t) is K when t <= s, so each
 differential is a scalar matrix whose map at y is its block on the tops at
-or below y.  Every resolution is verified from those matrices and checked
-against the Mobius function, which does not depend on the field; the
-global dimension does (3 over QQ and 4 over F_2 for the face poset of
-RP^2), and is below the longest chain's length.
+or below y; P_y lives on the up-set of y, so the resolution of S_x visits
+only the up-set of x.  Every resolution is verified from those matrices
+where a term is nonzero, and checked against the Mobius function, which does
+not depend on the field; the global dimension does (3 over QQ and 4 over F_2
+for the face poset of RP^2), and is below the longest chain's length.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import InternalInvariantError, QuiverError
 from .fields import QQ
 from .linalg import Mat
 from .poset import Poset
-from .structure import _bits, _of_rows
+from .structure import _of_rows
 
 __all__ = [
     "PosetRepresentation", "RepMorphism", "ProjectiveCover", "Resolution", "projective",
@@ -235,16 +236,17 @@ class Resolution:
         return tuple(tuple(Counter(els[t] for t in tops).items()) for tops in self.covers)
 
     def verify(self) -> None:
-        """Recheck the resolution from its matrices, by ranks at each element."""
+        """Recheck the resolution from its matrices, by ranks at each element where a term is
+        nonzero: elsewhere every check reads 0 == 0 - 0."""
         poset, covers, x = self.poset, self.covers, self.simple
         if [(len(t), len(s)) for t, s in zip(covers, covers[1:])] != [
                 (phi.nrows, phi.ncols) for phi in self.differentials]:
             raise InternalInvariantError("differentials do not fit the terms")
         if covers[:1] != ((x,),):
             raise InternalInvariantError(f"term 0 is not the projective cover of the simple at {x}")
-        ranks, at = [int(y == x) for y in range(len(poset))], _below(poset, covers[0])
         field = self.differentials[0].field if self.differentials else QQ
-        blocks = [Mat.identity(r, field) for r in ranks]  # d0 onto the simple: the identity at x
+        # d0 onto the simple: the identity at x; no block where both terms vanish
+        blocks, ranks, at = {x: Mat.identity(1, field)}, {x: 1}, _below(poset, covers[0])
         for k, (phi, t, s) in enumerate(zip(self.differentials, covers, covers[1:]), 1):
             for i, j in ((i, j) for i, row in enumerate(phi.rows) for j, a in enumerate(row) if a):
                 if not poset.rows[t[i]] >> s[j] & 1:
@@ -252,15 +254,16 @@ class Resolution:
                 if t[i] == s[j]:
                     raise InternalInvariantError(f"step {k} is not minimal at element {s[j]}")
             at_k = _below(poset, s)
-            new = [phi.take(rows, cols) if cols else None for rows, cols in zip(at, at_k)]
+            support = [y for y, (rows, cols) in enumerate(zip(at, at_k)) if rows or cols]
+            new = {y: phi.take(at[y], at_k[y]) for y in support if at_k[y]}
             for y in sorted(set(s)):  # a map out of P_s is fixed by its value at s
-                if at[y] and blocks[y].nrows and not (blocks[y] @ new[y]).is_zero():
+                if y in blocks and blocks[y].nrows and not (blocks[y] @ new[y]).is_zero():
                     raise InternalInvariantError(f"d{k - 1} after d{k} is nonzero at {y}")
-            new_ranks = [blk.rank() if blk is not None else 0 for blk in new]
-            for y in (y for y, r in enumerate(new_ranks) if r != len(at[y]) - ranks[y]):
+            new_ranks = {y: blk.rank() for y, blk in new.items()}
+            for y in (y for y in support if new_ranks.get(y, 0) != len(at[y]) - ranks.get(y, 0)):
                 raise InternalInvariantError(f"homology at step {k - 1}, element {y}")
             blocks, ranks, at = new, new_ranks, at_k
-        for y in (y for y, r in enumerate(ranks) if r != len(at[y])):
+        for y in (y for y, rows in enumerate(at) if rows and ranks.get(y, 0) != len(rows)):
             raise InternalInvariantError(f"resolution not finished at {y}")
 
 
@@ -268,7 +271,7 @@ def _below(poset: Poset, tops) -> list[list[int]]:
     """Per element, the positions of the tops at or below it."""
     out: list[list[int]] = [[] for _ in poset.rows]
     for k, t in enumerate(tops):
-        for y in _bits(poset.rows[t]):
+        for y in poset.up_sets[t]:
             out[y].append(k)
     return out
 
@@ -282,12 +285,12 @@ def minimal_resolution(poset: Poset, x: str, field=QQ) -> Resolution:
     Running past longest_chain(poset) steps means the construction is broken."""
     xi = poset.position(x)
     tops, covers, differentials, at = (xi,), [(xi,)], [], _below(poset, (xi,))
-    # per element, the kernel basis vectors as {coordinate of the term: entry}
-    kernels = [[{0: field.one}] if y != xi and below else [] for y, below in enumerate(at)]
+    # per element of the up-set, the kernel basis vectors as {coordinate of the term: entry}
+    kernels = {y: [{0: field.one}] if y != xi else [] for y in poset.up_sets[xi]}
     for _ in range(poset.longest_chain()):
         n, tops, columns = len(tops), [], []
-        for y, kernel in enumerate(kernels):
-            rad = [col for z in poset.lower_covers[y] for col in kernels[z]]
+        for y, kernel in kernels.items():  # the up-set, ascending
+            rad = [col for z in poset.lower_covers[y] for col in kernels.get(z, ())]
             if rad and kernel:
                 both = rad + kernel
                 _, pivots = Mat._owning([[col.get(i, field.zero) for col in both] for i in at[y]],
@@ -302,8 +305,9 @@ def minimal_resolution(poset: Poset, x: str, field=QQ) -> Resolution:
         covers.append(tuple(tops))
         differentials.append(phi)
         at, at_prev = _below(poset, tops), at
-        kernels = [[dict(zip(cols, col)) for col in zip(*phi.take(rows, cols).null_space()[0].rows)]
-                   if cols else [] for rows, cols in zip(at_prev, at)]
+        kernels = {y: [dict(zip(at[y], col))
+                       for col in zip(*phi.take(at_prev[y], at[y]).null_space()[0].rows)]
+                   if at[y] else [] for y in kernels}
     raise InternalInvariantError(
         f"projective resolution of {x!r} exceeded the chain bound {poset.longest_chain()}")
 

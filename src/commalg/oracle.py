@@ -18,15 +18,16 @@ tails walk lists and stops at the first relation that breaks it.
 Each ``GeneralCoefficientTable`` memoizes one ``WalksFrom`` per ``(source,
 truncation, path_cap)``: one frontier pass that counts, and where needed
 lists as ``(arrows, length)`` pairs, the walks from the source to every
-target at once, with the length at which each target overflows the cap,
-which raises again on every read.  Keyed by ``(field, start, end,
-truncation, path_cap)`` it keeps the middles' coefficients in the working
-field with one ``(p, q, |q|, f(p), f(q))`` for each walk p before q.
-Pricing a list stops at the first coefficient that vanishes or is not
-defined in the field and stores that failure, which raises only where a
-relation that fits reads it: where the failing walk and the list's second
-walk fit beside the shortest head and tail.  Reuse one table across calls,
-as ``pattern_report`` does.
+target at once, with the length at which each target overflows the cap, which
+raises again on every read; below truncation n - 1, one uncapped pass per
+source to n - 1 certifies the targets without a walk.  Keyed by ``(field,
+start, end, truncation, path_cap)`` it keeps the middles' coefficients in the
+working field with one ``(p, q, |q|, f(p), f(q))`` for each walk p before q.
+Pricing a list stops at the first coefficient that vanishes or is not defined
+in the field and stores that failure, which raises only where a relation that
+fits reads it: where the failing walk and the list's second walk fit beside
+the shortest head and tail.  Reuse one table across calls, as
+``pattern_report`` does.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .algebra import CoefficientFunction
 from .errors import InternalInvariantError, QuiverError
 from .fields import QQ, PrimeField
 # enumerate_paths stays bound here, where a test patches it to show the oracle builds no path
-from .quiver import Path, Quiver, WalksFrom, count_paths, enumerate_paths  # noqa: F401
+from .quiver import Path, Quiver, WalksFrom, enumerate_paths  # noqa: F401
 from .structure import reachability
 
 __all__ = [
@@ -154,12 +155,12 @@ def truncated_hom_dimension(
         isinstance(field, PrimeField) and not table.base.is_trivial
     )
 
-    def walks_from(a: str) -> WalksFrom:
+    def walks_from(a: str, length: int = truncation, cap=path_cap, listed=lists) -> WalksFrom:
         # one frontier pass per source serves every target
-        key = (a, truncation, path_cap)
+        key = (a, length, cap)
         found = memo.get(key)
-        if found is None or (lists and found.lists is None):
-            found = memo[key] = WalksFrom(quiver, a, truncation, path_cap, lists)
+        if found is None or (listed and found.lists is None):
+            found = memo[key] = WalksFrom(quiver, a, length, cap, listed)
         return found
 
     from_source = walks_from(source)
@@ -259,9 +260,11 @@ def truncated_hom_dimension(
 
     dimension = path_count - rank
     # a reachable target has a path of length at most n - 1, which a
-    # truncation of n - 1 or more has already counted
+    # truncation of n - 1 or more has already counted; below it, one uncapped
+    # pass per source to n - 1 answers every target
     last = quiver.n - 1
-    reached = path_count > 0 or truncation >= last or not count_paths(quiver, source, target, last)
+    reached = (path_count > 0 or truncation >= last
+               or not walks_from(source, last, None, False).count(target))
     certified = reached and (table.is_multiplicative or dimension == 0)
     return TruncatedQuotientReport(
         source, target, truncation, path_count, rank, dimension, certified

@@ -359,6 +359,11 @@ class Poset:
         return tuple(map(tuple, lower))
 
     @cached_property
+    def up_sets(self) -> tuple[tuple[int, ...], ...]:
+        """Per element, the indices at or above it, ascending."""
+        return tuple(tuple(_bits(row)) for row in self.rows)
+
+    @cached_property
     def index(self) -> dict[str, int]:
         return {x: i for i, x in enumerate(self.elements)}
 
@@ -395,17 +400,17 @@ class Poset:
         """The Mobius function as a matrix: mu(i, i) = 1, mu(i, j) = -(sum of
         mu(i, z) over i <= z < j) for i < j, and 0 when i is not below j.
         One pass over the related pairs in a linear extension."""
-        strictly_below: list[list[int]] = [[] for _ in self.rows]
-        for i, row in enumerate(self.rows):
-            for j in _bits(row & ~(1 << i)):
-                strictly_below[j].append(i)
+        below: list[list[int]] = [[] for _ in self.rows]
+        for i, up in enumerate(self.up_sets):
+            for j in up:
+                below[j].append(i)
         out = []
         for i, row in enumerate(self.rows):
             mu = [0] * len(self.rows)  # zero off [i, j) when j is reached
             mu[i] = 1
             for j in self.linear_extension():
                 if j != i and row >> j & 1:
-                    mu[j] = -sum(map(mu.__getitem__, strictly_below[j]))
+                    mu[j] = -sum(map(mu.__getitem__, below[j]))  # mu[j] is still 0
             out.append(tuple(mu))
         return tuple(out)
 

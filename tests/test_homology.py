@@ -466,6 +466,32 @@ def test_resolution_verify_catches_a_map_that_does_not_commute():
         replace(res, covers=((1,), (0,))).verify()
 
 
+def test_verify_is_not_confined_to_the_up_set_of_the_simple():
+    # a top at x0, outside the up-set of x1, with a zero column in d1: the
+    # term is nonzero at x0, where nothing maps onto it
+    res = minimal_resolution(chain(3), "x1")
+    assert res.covers == ((1,), (2,))
+    tampered = replace(res, covers=((1,), (2, 0)),
+                       differentials=(res.differentials[0].hstack(Mat(1, 1)),))
+    with pytest.raises(InternalInvariantError, match="resolution not finished at 0"):
+        tampered.verify()
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=["QQ", "F2"])
+@pytest.mark.parametrize("poset", [pytest.param(chain(3), id="chain3"),
+                                   pytest.param(diamond(), id="diamond")] + SEEDED_POSETS)
+def test_each_resolution_is_the_resolution_on_its_up_set(poset, field):
+    # P_x lives on the up-set of x, so the resolution of S_x is that of the
+    # bottom of the sub-poset on the up-set, read back through its indices
+    els, rows = poset.elements, poset.rows
+    for xi, x in enumerate(els):
+        up = poset.up_sets[xi]
+        sub = Poset([els[y] for y in up], [[bool(rows[a] >> b & 1) for b in up] for a in up])
+        res, local = minimal_resolution(poset, x, field), minimal_resolution(sub, x, field)
+        assert res.covers == tuple(tuple(up[t] for t in tops) for tops in local.covers)
+        assert res.differentials == local.differentials
+
+
 def test_resolution_verify_catches_differentials_that_do_not_fit():
     res = minimal_resolution(diamond(), "a")
     for differentials in (res.differentials[:1], (res.differentials[0], Mat(2, 2))):

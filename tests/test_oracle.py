@@ -22,7 +22,7 @@ from commalg import (
 from commalg.cli import run
 from commalg.examples import TWO_BLOCK_DSL
 from commalg.linalg import Mat
-from commalg.quiver import Path, Quiver, WalksFrom, count_paths, enumerate_paths
+from commalg.quiver import Path, Quiver, WalksFrom, enumerate_paths
 from commalg.randgen import random_quiver, random_sparse_quiver, random_weights
 from commalg.structure import reachability
 from commalg.fields import QQ
@@ -489,30 +489,38 @@ def test_missing_unpadded_relations_raise(monkeypatch):
 
 
 def test_no_uncapped_recount_once_the_truncation_reaches_n_minus_1(monkeypatch):
+    # certification reads one uncapped pass per source to n - 1, kept in the
+    # table's memo: at most one per source below n - 1, and none from n - 1 on
     uncapped = []
+    original = WalksFrom.__init__
 
-    def recording(quiver, source, target, max_length, cap=None):
+    def recording(self, quiver, source, max_length, cap=None, lists=False):
         if cap is None:
-            uncapped.append((source, target))
-        return count_paths(quiver, source, target, max_length, cap)
+            uncapped.append((source, max_length))
+        original(self, quiver, source, max_length, cap, lists)
 
-    monkeypatch.setattr("commalg.oracle.count_paths", recording)
+    monkeypatch.setattr(WalksFrom, "__init__", recording)
     for seed in range(12):
         rng = random.Random(seed)
         n = rng.randint(3, 5)
         q = random_quiver(n, n + 1, rng)
         pattern = reachability(q)
         for table in (GeneralCoefficientTable.trivial(q), _tabulated_table(q, rng, 2)):
+            uncapped.clear()
+            needed = {}  # the sources with a target without a walk, in report order
             for truncation in range(n + 1):
-                uncapped.clear()
+                passes = len(uncapped)
                 reports = pattern_report(q, truncation, table)
-                unreached = [(r.source, r.target) for r in reports if r.path_count == 0]
-                assert uncapped == ([] if truncation >= n - 1 else unreached)
+                if truncation >= n - 1:
+                    assert len(uncapped) == passes
+                else:
+                    needed.update(dict.fromkeys(r.source for r in reports if r.path_count == 0))
                 for r in reports:
                     reached = r.path_count > 0 or not pattern.at(r.source, r.target)
                     assert r.certified == (
                         reached and (table.is_multiplicative or r.dimension == 0)
                     )
+            assert uncapped == [(source, n - 1) for source in needed]
 
 
 def test_weights_whose_product_is_one_never_vanish_mod_p():
@@ -669,9 +677,10 @@ def test_reports_read_one_frontier_pass_per_source(monkeypatch):
                 assert sorted(s for s, length in passes if length == truncation) == sorted(
                     q.vertices
                 )
-                # below n - 1, count_paths counts each pair without a walk again,
-                # to n - 1, to decide whether its report is certified
-                recounts = [(r.source, n - 1) for r in reports if r.path_count == 0]
+                # below n - 1, one more pass to n - 1 from each source with a
+                # target without a walk decides whether its reports are certified
+                recounts = list(dict.fromkeys((r.source, n - 1) for r in reports
+                                              if r.path_count == 0))
                 assert [p for p in passes if p[1] != truncation] == (
                     recounts if truncation < n - 1 else []
                 )
