@@ -150,7 +150,8 @@ class RepMorphism:
 def _projective_sum(poset: Poset, tops: list[int], field=QQ) -> PosetRepresentation:
     """Direct sum of the projectives at the element indices ``tops``, repeats
     allowed; each cover map is the 0/1 inclusion of summands."""
-    at, one, zero = _below(poset, tops), field.one, field.zero
+    below, one, zero = _below(poset, tops), field.one, field.zero
+    at = [below.get(y, []) for y in range(len(poset))]
     maps = {(i, j): Mat._owning([[one if k == c else zero for c in at[i]] for k in at[j]],
                                 len(at[i]), field) for i, j in poset.covers}
     return _of_rows(PosetRepresentation, poset=poset, dims=tuple(map(len, at)), maps=maps,
@@ -254,25 +255,26 @@ class Resolution:
                 if t[i] == s[j]:
                     raise InternalInvariantError(f"step {k} is not minimal at element {s[j]}")
             at_k = _below(poset, s)
-            support = [y for y, (rows, cols) in enumerate(zip(at, at_k)) if rows or cols]
-            new = {y: phi.take(at[y], at_k[y]) for y in support if at_k[y]}
+            support = sorted(at.keys() | at_k.keys())
+            new = {y: phi.take(at.get(y, ()), at_k[y]) for y in support if y in at_k}
             for y in sorted(set(s)):  # a map out of P_s is fixed by its value at s
                 if y in blocks and blocks[y].nrows and not (blocks[y] @ new[y]).is_zero():
                     raise InternalInvariantError(f"d{k - 1} after d{k} is nonzero at {y}")
             new_ranks = {y: blk.rank() for y, blk in new.items()}
-            for y in (y for y in support if new_ranks.get(y, 0) != len(at[y]) - ranks.get(y, 0)):
+            for y in (y for y in support
+                      if new_ranks.get(y, 0) != len(at.get(y, ())) - ranks.get(y, 0)):
                 raise InternalInvariantError(f"homology at step {k - 1}, element {y}")
             blocks, ranks, at = new, new_ranks, at_k
-        for y in (y for y, rows in enumerate(at) if rows and ranks.get(y, 0) != len(rows)):
+        for y in (y for y in sorted(at) if ranks.get(y, 0) != len(at[y])):
             raise InternalInvariantError(f"resolution not finished at {y}")
 
 
-def _below(poset: Poset, tops) -> list[list[int]]:
-    """Per element, the positions of the tops at or below it."""
-    out: list[list[int]] = [[] for _ in poset.rows]
+def _below(poset: Poset, tops) -> dict[int, list[int]]:
+    """Per element some top reaches, the positions of the tops at or below it."""
+    out: dict[int, list[int]] = {}
     for k, t in enumerate(tops):
         for y in poset.up_sets[t]:
-            out[y].append(k)
+            out.setdefault(y, []).append(k)
     return out
 
 
@@ -307,7 +309,7 @@ def minimal_resolution(poset: Poset, x: str, field=QQ) -> Resolution:
         at, at_prev = _below(poset, tops), at
         kernels = {y: [dict(zip(at[y], col))
                        for col in zip(*phi.take(at_prev[y], at[y]).null_space()[0].rows)]
-                   if at[y] else [] for y in kernels}
+                   if y in at else [] for y in kernels}
     raise InternalInvariantError(
         f"projective resolution of {x!r} exceeded the chain bound {poset.longest_chain()}")
 

@@ -20,14 +20,17 @@ truncation, path_cap)``: one frontier pass that counts, and where needed
 lists as ``(arrows, length)`` pairs, the walks from the source to every
 target at once, with the length at which each target overflows the cap, which
 raises again on every read; below truncation n - 1, one uncapped pass per
-source to n - 1 certifies the targets without a walk.  Keyed by ``(field,
-start, end, truncation, path_cap)`` it keeps the middles' coefficients in the
-working field with one ``(p, q, |q|, f(p), f(q))`` for each walk p before q.
-Pricing a list stops at the first coefficient that vanishes or is not defined
-in the field and stores that failure, which raises only where a relation that
-fits reads it: where the failing walk and the list's second walk fit beside
-the shortest head and tail.  Reuse one table across calls, as
-``pattern_report`` does.
+source to n - 1 certifies the targets without a walk.  The tabulated branch
+keeps a plan per ``(field, source, truncation, path_cap)``, each (a, b) in
+vertex order with a head to a and two middles a -> b or more, and per
+``(target, truncation, path_cap)`` each b's walks to the target.  A pair
+prices a plan's middle list once a tail follows it, once per field and
+(a, b), as one ``(p, q, |q|, f(p), f(q))`` for each walk p before q; a lone
+middle is never priced.  Pricing stops at the first coefficient that
+vanishes or is not defined in the field and stores that failure, which
+raises only where a relation that fits reads it: where the failing walk and
+the list's second walk fit beside the shortest head and tail.  Reuse one
+table across calls, as ``pattern_report`` does.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from operator import itemgetter
 from typing import Mapping
 
 from .algebra import CoefficientFunction
-from .errors import InternalInvariantError, QuiverError
+from .errors import InternalInvariantError, QuiverError, TruncationOverflowError
 from .fields import QQ, PrimeField
 # enumerate_paths stays bound here, where a test patches it to show the oracle builds no path
 from .quiver import Path, Quiver, WalksFrom, enumerate_paths  # noqa: F401
@@ -199,30 +202,46 @@ def truncated_hom_dimension(
 
         targets = from_source.walks(target)
         path_count = len(targets)
-        # every middle list is priced, in (a, b) order, before any relation is
-        # read; its failure raises where a relation that fits reads the walk
-        triples = []
-        unpadded = False
-        for a in quiver.vertices:
-            heads = from_source.walks(a)
-            if not heads:
+        # the source's plan in (a, b) order, priced as tails read it; a head or
+        # middle read that overflows ends it and raises again after its entries
+        plan = memo.get(("plan", field, source, truncation, path_cap))
+        if plan is None:
+            entries, stop = [], None
+            try:
+                for a in quiver.vertices:
+                    stop = from_source, a
+                    if heads := from_source.walks(a):
+                        from_a = walks_from(a)
+                        for b in quiver.vertices:
+                            stop = from_a, b
+                            if len(middles := from_a.walks(b)) > 1:
+                                entries.append([a, heads, b, middles, None])
+                stop = None
+            except TruncationOverflowError:
+                pass
+            plan = memo["plan", field, source, truncation, path_cap] = entries, stop
+        # b's walks to the target, read once per target; an overflow raises on every read
+        tails_to = memo.setdefault(("tails", target, truncation, path_cap), {})
+        triples, unpadded = [], False
+        for entry in plan[0]:
+            a, heads, b, middles, priced = entry
+            tails = tails_to.get(b)
+            if tails is None:
+                tails = tails_to[b] = walks_from(b).walks(target)
+            if not tails:
                 continue
-            from_a = walks_from(a)
-            for b in quiver.vertices:
-                middles = from_a.walks(b)
-                if len(middles) < 2:
-                    continue
-                tails = walks_from(b).walks(target)
-                if not tails:
-                    continue
-                _, pairs, failure = middle_pairs(a, b, middles)
-                if failure:
-                    room = truncation - heads[0][1] - tails[0][1]
-                    if failure[0] <= room and middles[1][1] <= room:
-                        raise QuiverError(failure[1])
-                triples.append((heads, pairs, tails))
-                if a == source and b == target and heads[0][1] == tails[0][1] == 0:
-                    unpadded = True
+            if priced is None:
+                priced = entry[4] = middle_pairs(a, b, middles)[1:]
+            pairs, failure = priced
+            if failure:
+                room = truncation - heads[0][1] - tails[0][1]
+                if failure[0] <= room and middles[1][1] <= room:
+                    raise QuiverError(failure[1])
+            triples.append((heads, pairs, tails))
+            if a == source and b == target and heads[0][1] == tails[0][1] == 0:
+                unpadded = True
+        if plan[1]:
+            plan[1][0].walks(plan[1][1])  # the overflow that ended the plan
 
         def agrees(f: dict) -> bool:
             # pairs run by |q|, walk lists by length: the first pair, head or

@@ -12,6 +12,7 @@ from commalg import (
     InternalInvariantError,
     PrimeField,
     QuiverError,
+    TruncatedQuotientReport,
     TruncationOverflowError,
     commuting_algebra,
     pattern_equivalence,
@@ -620,35 +621,175 @@ def _report_outcome(q, table, truncation, cap, field):
         return type(error), str(error)
 
 
+def _reference_cases(seeds, max_n, tables, fields, caps, shuffled=False):
+    """Random quivers of at most ``max_n`` vertices, their vertices declared
+    in a random order if ``shuffled``, each table, field, truncation 0 to
+    n + 2 and cap."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        n = rng.randint(1, max_n)
+        q = random_quiver(n, rng.randint(0, 2 * n), rng)
+        if shuffled:
+            q = Quiver(rng.sample(q.vertices, n), q.arrows, name=q.name)
+        for table in tables(q, rng):
+            for field in fields:
+                for truncation in range(n + 3):
+                    for cap in caps:
+                        yield q, table, truncation, cap, field
+
+
 def test_per_source_walks_match_the_per_pair_reference(monkeypatch):
     monkeypatch.setattr(PerPairWalks, "binds", {"frontier": 0, "matches": 0})
     outcomes = {"reports": 0, "overflow": 0, "cap 0": 0, "field": 0}
-    for seed in range(24):
-        rng = random.Random(2200 + seed)
-        n = rng.randint(1, 4)
-        q = random_quiver(n, rng.randint(0, 2 * n), rng)
-        tables = [
+    cases = _reference_cases(
+        range(2200, 2224), 4,
+        lambda q, rng: [
             GeneralCoefficientTable.trivial(q),
             GeneralCoefficientTable.multiplicative(q, random_weights(q, rng)),
             _tabulated_table(q, rng, 2),
-        ]
-        for table in tables:
-            for field in (QQ, PrimeField(3)):
-                for truncation in range(n + 3):
-                    for cap in (None, 0, 1, 2, 4, 9, 30):
-                        actual = _report_outcome(q, table, truncation, cap, field)
-                        with monkeypatch.context() as patched:
-                            patched.setattr("commalg.oracle.WalksFrom", PerPairWalks)
-                            expected = _report_outcome(q, table, truncation, cap, field)
-                        assert actual == expected
-                        if isinstance(actual, list):
-                            outcomes["reports"] += 1
-                        elif actual[0] is TruncationOverflowError:
-                            outcomes["cap 0" if cap == 0 else "overflow"] += 1
-                        else:
-                            outcomes["field"] += 1
+        ],
+        (QQ, PrimeField(3)), (None, 0, 1, 2, 4, 9, 30),
+    )
+    for q, table, truncation, cap, field in cases:
+        actual = _report_outcome(q, table, truncation, cap, field)
+        with monkeypatch.context() as patched:
+            patched.setattr("commalg.oracle.WalksFrom", PerPairWalks)
+            expected = _report_outcome(q, table, truncation, cap, field)
+        assert actual == expected
+        if isinstance(actual, list):
+            outcomes["reports"] += 1
+        elif actual[0] is TruncationOverflowError:
+            outcomes["cap 0" if cap == 0 else "overflow"] += 1
+        else:
+            outcomes["field"] += 1
     assert min(outcomes.values()) >= 100, outcomes
     assert min(PerPairWalks.binds.values()) >= 100, PerPairWalks.binds
+
+
+def nested_loop_hom_dimension(q, table, source, target, truncation, cap, field, memo):
+    """A tabulated report as the oracle made it before the per-source plans.
+
+    For every pair it sweeps every middle end (a, b) in vertex order: the
+    heads from the source to a, the middles from a to b, then, for two
+    middles or more, the tails from b to the target, pricing each middle list
+    that a tail follows and raising its failure where a relation that fits
+    reads it.  ``memo`` keeps the walk passes and the priced lists.
+    """
+
+    def walks_from(a, length=truncation, cap=cap):
+        if (a, length, cap) not in memo:
+            memo[a, length, cap] = WalksFrom(q, a, length, cap, lists=True)
+        return memo[a, length, cap]
+
+    def coeff(path):
+        try:
+            value = field.element(table.value(path))
+        except QuiverError as error:
+            raise QuiverError(
+                f"coefficient of {path!r} is not defined in {field.name}: {error}"
+            ) from None
+        if value == field.zero:
+            raise QuiverError(f"coefficient of {path!r} vanishes in {field.name}")
+        return value
+
+    def middle_pairs(a, b, middles):
+        if (a, b) not in memo:
+            coeffs, failure = [], None
+            for arrows, length in middles:
+                try:
+                    coeffs.append(coeff(Path(a, arrows, b)))
+                except QuiverError as error:
+                    failure = length, str(error)
+                    break
+            pairs = [(pa, qa, lq, fp, fq)
+                     for k, ((pa, _), fp) in enumerate(zip(middles, coeffs))
+                     for (qa, lq), fq in zip(middles[k + 1:], coeffs[k + 1:])]
+            memo[a, b] = coeffs, sorted(pairs, key=lambda pair: pair[2]), failure
+        return memo[a, b]
+
+    from_source = walks_from(source)
+    targets = from_source.walks(target)
+    path_count = len(targets)
+    triples, unpadded = [], False
+    for a in q.vertices:
+        heads = from_source.walks(a)
+        if not heads:
+            continue
+        for b in q.vertices:
+            middles = walks_from(a).walks(b)
+            if len(middles) < 2:
+                continue
+            tails = walks_from(b).walks(target)
+            if not tails:
+                continue
+            _, pairs, failure = middle_pairs(a, b, middles)
+            if failure:
+                room = truncation - heads[0][1] - tails[0][1]
+                if failure[0] <= room and middles[1][1] <= room:
+                    raise QuiverError(failure[1])
+            triples.append((heads, pairs, tails))
+            if a == source and b == target and heads[0][1] == tails[0][1] == 0:
+                unpadded = True
+    rank = 0
+    if path_count > 1:
+        if not unpadded:
+            raise InternalInvariantError("relations are missing")
+        f = dict(zip((arrows for arrows, _ in targets), middle_pairs(source, target, targets)[0]))
+
+        def agrees():
+            for heads, pairs, tails in triples:
+                shortest = heads[0][1] + tails[0][1]
+                for pa, qa, lq, fp, fq in pairs:
+                    budget = truncation - lq
+                    if budget < shortest:
+                        break
+                    for ra, lr in heads:
+                        room = budget - lr
+                        if room < 0:
+                            break
+                        for sa, ls in tails:
+                            if ls > room:
+                                break
+                            if fp * f[ra + qa + sa] != fq * f[ra + pa + sa]:
+                                return False
+            return True
+
+        rank = path_count - 1 if agrees() else path_count
+    dimension = path_count - rank
+    reached = (path_count > 0 or truncation >= q.n - 1
+               or not walks_from(source, q.n - 1, None).count(target))
+    return TruncatedQuotientReport(source, target, truncation, path_count, rank, dimension,
+                                   reached and dimension == 0)
+
+
+def _nested_loop_outcome(q, table, truncation, cap, field):
+    memo = {}
+    try:
+        return [nested_loop_hom_dimension(q, table, v, w, truncation, cap, field, memo)
+                for v in q.vertices for w in q.vertices]
+    except (QuiverError, InternalInvariantError) as error:
+        return type(error), str(error)
+
+
+def test_source_plans_match_the_nested_loop_reference():
+    # weighted bases with exceptions, over QQ and three prime fields where
+    # some exception or weight vanishes or is not defined; the vertices are
+    # declared out of name order, which the plans must follow
+    outcomes = {"reports": 0, "overflow": 0, "field": 0}
+    cases = _reference_cases(
+        range(2400, 2437), 5, lambda q, rng: [_tabulated_table(q, rng, 2)],
+        (QQ, PrimeField(2), PrimeField(3), PrimeField(5)), (None, 0, 1, 2, 5, 20), shuffled=True,
+    )
+    for q, table, truncation, cap, field in cases:
+        if table.is_multiplicative:
+            continue
+        actual = _report_outcome(q, table, truncation, cap, field)
+        assert actual == _nested_loop_outcome(q, table, truncation, cap, field)
+        if isinstance(actual, list):
+            outcomes["reports"] += 1
+        else:
+            outcomes["overflow" if actual[0] is TruncationOverflowError else "field"] += 1
+    assert min(outcomes.values()) >= 100, outcomes
 
 
 def test_reports_read_one_frontier_pass_per_source(monkeypatch):
@@ -684,3 +825,40 @@ def test_reports_read_one_frontier_pass_per_source(monkeypatch):
                 assert [p for p in passes if p[1] != truncation] == (
                     recounts if truncation < n - 1 else []
                 )
+
+
+def test_tabulated_reports_read_heads_and_middles_once_per_field_and_source(monkeypatch):
+    # each source reads its heads and, from every head it reaches, its middles
+    # once per field; each target reads the tails from every end of two
+    # middles or more once; a report on a used table reads only its targets
+    reads = []
+    original = WalksFrom.walks
+
+    def counting(self, target):
+        reads.append((self.source, target))
+        return original(self, target)
+
+    for seed in range(12):
+        rng = random.Random(seed)
+        n = rng.randint(2, 6)
+        q = random_quiver(n, n + 2, rng)
+        table = _tabulated_table(q, rng, 2)
+        if table.is_multiplicative:
+            continue
+        for truncation in range(n + 3):
+            counts = {v: WalksFrom(q, v, truncation) for v in q.vertices}
+            heads = sum(counts[s].count(a) > 0 for s in q.vertices for a in q.vertices)
+            ends = sum(any(counts[a].count(b) > 1 for a in q.vertices) for b in q.vertices)
+            fresh = GeneralCoefficientTable(q, table.base, table.exceptions)
+            with monkeypatch.context() as patched:
+                patched.setattr(WalksFrom, "walks", counting)
+                reads.clear()
+                first = pattern_report(q, truncation, fresh, path_cap=None)
+                assert len(reads) == n * n + n * n + n * heads + n * ends
+                keys = set(fresh._memo)
+                reads.clear()
+                assert pattern_report(q, truncation, fresh, path_cap=None) == first
+                assert len(reads) == n * n and set(fresh._memo) == keys
+                reads.clear()
+                pattern_report(q, truncation, fresh, path_cap=None, field=PrimeField(1000003))
+                assert len(reads) == n * n + n * n + n * heads
