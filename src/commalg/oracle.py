@@ -25,9 +25,11 @@ keeps a plan per ``(field, source, truncation, path_cap)``, each (a, b) in
 vertex order with a head to a and two middles a -> b or more, and per
 ``(target, truncation, path_cap)`` each b's walks to the target.  A pair
 prices a plan's middle list once a tail follows it, once per field and
-(a, b), as one ``(p, q, |q|, f(p), f(q))`` for each walk p before q; a lone
-middle is never priced.  Pricing stops at the first coefficient that
-vanishes or is not defined in the field and stores that failure, which
+(a, b), as its coefficients; a lone middle is never priced.  Each later
+middle q is checked against the first, shortest, p_0 alone: where (p, q)
+fits beside r and s, so do (p_0, p) and (p_0, q), and with nonzero
+coefficients those two imply it.  Pricing stops at the first coefficient
+that vanishes or is not defined in the field and stores that failure, which
 raises only where a relation that fits reads it: where the failing walk and
 the list's second walk fit beside the shortest head and tail.  Reuse one
 table across calls, as ``pattern_report`` does.
@@ -37,7 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from numbers import Rational
-from operator import itemgetter
 from typing import Mapping
 
 from .algebra import CoefficientFunction
@@ -72,7 +73,7 @@ class GeneralCoefficientTable:
     quiver: Quiver
     base: CoefficientFunction
     exceptions: Mapping[Path, Rational]
-    # one walk pass per source; middle coefficients and pairs of the tabulated branch
+    # one walk pass per source; plans, tails and middle coefficients of the tabulated branch
     _memo: dict = dataclass_field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -178,8 +179,8 @@ def truncated_hom_dimension(
                 coeff(Path(source, arrows, target))  # raises unless nonzero in the field
         rank = max(path_count - 1, 0)
     else:
-        def middle_pairs(a: str, b: str, middles) -> tuple[list, list[tuple], tuple | None]:
-            # coefficients up to the first failure, pairs by |q|, (length, message)
+        def price(a: str, b: str, middles) -> tuple[list, tuple | None]:
+            # coefficients up to the first failure, and its (length, message)
             key = (field, a, b, truncation, path_cap)
             found = memo.get(key)
             if found is None:
@@ -190,14 +191,7 @@ def truncated_hom_dimension(
                     except QuiverError as error:
                         failure = length, str(error)
                         break
-                found = memo[key] = coeffs, sorted(
-                    (
-                        (pa, qa, lq, fp, fq)
-                        for k, ((pa, _), fp) in enumerate(zip(middles, coeffs))
-                        for (qa, lq), fq in zip(middles[k + 1:], coeffs[k + 1:])
-                    ),
-                    key=itemgetter(2),
-                ), failure
+                found = memo[key] = coeffs, failure
             return found
 
         targets = from_source.walks(target)
@@ -231,24 +225,24 @@ def truncated_hom_dimension(
             if not tails:
                 continue
             if priced is None:
-                priced = entry[4] = middle_pairs(a, b, middles)[1:]
-            pairs, failure = priced
+                priced = entry[4] = price(a, b, middles)
+            coeffs, failure = priced
             if failure:
                 room = truncation - heads[0][1] - tails[0][1]
                 if failure[0] <= room and middles[1][1] <= room:
                     raise QuiverError(failure[1])
-            triples.append((heads, pairs, tails))
+            triples.append((heads, middles, coeffs, tails))
             if a == source and b == target and heads[0][1] == tails[0][1] == 0:
                 unpadded = True
         if plan[1]:
             plan[1][0].walks(plan[1][1])  # the overflow that ended the plan
 
         def agrees(f: dict) -> bool:
-            # pairs run by |q|, walk lists by length: the first pair, head or
-            # tail too long for what is left ends its loop
-            for heads, pairs, tails in triples:
+            # each later middle against the first; walk lists run by length, so
+            # the first middle, head or tail too long for what is left ends its loop
+            for heads, middles, coeffs, tails in triples:
                 shortest = heads[0][1] + tails[0][1]
-                for pa, qa, lq, fp, fq in pairs:
+                for (qa, lq), fq in zip(middles[1:], coeffs[1:]):
                     budget = truncation - lq
                     if budget < shortest:
                         break
@@ -256,11 +250,11 @@ def truncated_hom_dimension(
                         room = budget - lr
                         if room < 0:
                             break
-                        rp, rq = ra + pa, ra + qa
+                        rp, rq = ra + middles[0][0], ra + qa
                         for sa, ls in tails:
                             if ls > room:
                                 break
-                            if fp * f[rq + sa] != fq * f[rp + sa]:
+                            if coeffs[0] * f[rq + sa] != fq * f[rp + sa]:
                                 return False
             return True
 
@@ -273,7 +267,7 @@ def truncated_hom_dimension(
                     f"no unpadded relation among the {path_count} walks from "
                     f"{source!r} to {target!r}; relations are missing"
                 )
-            coeffs = middle_pairs(source, target, targets)[0]
+            coeffs = price(source, target, targets)[0]
             f = {arrows: c for (arrows, _), c in zip(targets, coeffs)}
             rank = path_count - 1 if agrees(f) else path_count
 

@@ -5,6 +5,7 @@ doubles as the pass/fail record per criterion.  Time limits are asserted
 with wall-clock measurements where a bound is part of the guarantee.
 """
 
+import hashlib
 import itertools
 import random
 import time
@@ -19,6 +20,7 @@ from commalg import (
     idempotence_check,
     incidence_algebra,
     minimal_resolution,
+    pattern_report,
     quasi_structure_constant,
     reachability,
     skeleton,
@@ -34,7 +36,7 @@ from commalg.examples import (
     two_block_quiver,
 )
 from commalg.poset import Poset, hasse_quiver
-from commalg.quiver import enumerate_paths
+from commalg.quiver import Quiver, enumerate_paths
 from commalg.randgen import (
     random_quiver,
     random_sparse_quiver,
@@ -364,3 +366,32 @@ def test_criterion_11_structural_pass_at_1000_vertices():
     assert elapsed < 1.0
     _report(11, f"1000 vertices, 2000 arrows, {len(alg.block_sizes)} blocks "
                 f"({elapsed:.3f}s)")
+
+
+# sha256 of repr(pattern_report(...)) in criterion 12, recorded from the
+# oracle that checked every pair (p, q) of each middle list
+SEED_2437_L7_SHA256 = "3afde210e69cd997adf0005db48b08e006e1fdf37a3bfb1b0f5db3cda815b0d5"
+
+
+def test_criterion_12_tabulated_oracle_on_seed_2437():
+    # the quiver and table that seed 2437 of the oracle's nested-loop
+    # reference test would draw: random_quiver(5, 10), its vertices declared
+    # in a random order, with five exceptions among its paths up to length 2
+    rng = random.Random(2437)
+    n = rng.randint(1, 5)
+    q = random_quiver(n, rng.randint(0, 2 * n), rng)
+    q = Quiver(rng.sample(q.vertices, n), q.arrows, name=q.name)
+    nontrivial = [p for v in q.vertices for w in q.vertices
+                  for p in enumerate_paths(q, v, w, 2, cap=100_000) if len(p) >= 1]
+    exceptions = {p: Fraction(rng.choice([2, 3, -1, 5, Fraction(1, 2)]))
+                  for p in rng.sample(nontrivial, min(5, len(nontrivial)))}
+    table = GeneralCoefficientTable(q, random_weights(q, rng), exceptions)
+    assert (n, len(q.arrows)) == (5, 10)
+    start = time.perf_counter()
+    reports = pattern_report(q, 7, table, path_cap=None)
+    elapsed = time.perf_counter() - start
+    assert hashlib.sha256(repr(reports).encode()).hexdigest() == SEED_2437_L7_SHA256
+    assert elapsed < 2.0
+    walks = sum(r.path_count for r in reports)
+    _report(12, f"tabulated oracle, uncapped L = 7, {walks} walks on the "
+                f"seed-2437 quiver: reports unchanged ({elapsed:.3f}s)")

@@ -26,7 +26,7 @@ from commalg.linalg import Mat
 from commalg.quiver import Path, Quiver, WalksFrom, enumerate_paths
 from commalg.randgen import random_quiver, random_sparse_quiver, random_weights
 from commalg.structure import reachability
-from commalg.fields import QQ
+from commalg.fields import QQ, PrimeFieldElement
 
 
 def two_routes():
@@ -862,3 +862,34 @@ def test_tabulated_reports_read_heads_and_middles_once_per_field_and_source(monk
                 reads.clear()
                 pattern_report(q, truncation, fresh, path_cap=None, field=PrimeField(1000003))
                 assert len(reads) == n * n + n * n + n * heads
+
+
+def test_tabulated_reports_check_each_middle_against_the_first(monkeypatch):
+    # three layers of three parallel arrows, so every head, middle and tail
+    # fits at L = 3, and an exception equal to its base value, so every
+    # relation agrees and no loop ends early: a middle list of k walks costs
+    # k - 1 relations, two products each, per head and tail, not k(k - 1)/2
+    layers = ["s", "v", "w", "t"]
+    q = Quiver(layers, [(f"{x}{i}", x, y) for x, y in zip(layers, layers[1:])
+                        for i in range(3)])
+    base = CoefficientFunction({"s0": 2, "v1": 3, "w2": Fraction(1, 2)})
+    table = GeneralCoefficientTable(q, base, {q.path("s", ["s0", "v0"]): Fraction(2)})
+    counts = {v: WalksFrom(q, v, 3) for v in q.vertices}
+    expected = pattern_report(q, 3, GeneralCoefficientTable.multiplicative(q, base),
+                              field=PrimeField(7))
+    products = [0]
+    original = PrimeFieldElement.__mul__
+
+    def counting(self, other):
+        products[0] += 1
+        return original(self, other)
+
+    monkeypatch.setattr(PrimeFieldElement, "__mul__", counting)
+    reports = pattern_report(q, 3, table, field=PrimeField(7))
+    assert [r.relation_rank for r in reports] == [r.relation_rank for r in expected]
+    bound = sum(
+        2 * (counts[a].count(b) - 1) * counts[r.source].count(a) * counts[b].count(r.target)
+        for r in expected if r.path_count > 1
+        for a in q.vertices for b in q.vertices if counts[a].count(b) > 1
+    )
+    assert 0 < products[0] <= bound
