@@ -199,10 +199,7 @@ class CommutingAlgebra:
     def multiply(self, x: "AlgebraElement", y: "AlgebraElement") -> "AlgebraElement":
         if x.algebra is not self or y.algebra is not self:
             raise QuiverError("elements belong to a different algebra")
-        zero = self.field.zero
-        y_rows: dict[int, list[tuple[int, object]]] = {}  # y's entries by row, once
-        for (k, j), yv in y.entries.items():
-            y_rows.setdefault(k, []).append((j, yv))
+        zero, y_rows = self.field.zero, y._by_row
         acc: dict[tuple[int, int], object] = {}
         for (i, k), xv in x.entries.items():
             for j, yv in y_rows.get(k, ()):
@@ -230,6 +227,14 @@ class AlgebraElement:
 
     algebra: CommutingAlgebra
     entries: Mapping[tuple[int, int], object]
+
+    @cached_property
+    def _by_row(self) -> dict[int, list[tuple[int, object]]]:
+        """The entries grouped by row, once per element: a product reads its right factor so."""
+        out: dict[int, list[tuple[int, object]]] = {}
+        for (k, j), v in self.entries.items():
+            out.setdefault(k, []).append((j, v))
+        return out
 
     def support(self) -> frozenset[tuple[str, str]]:
         order = self.algebra.order

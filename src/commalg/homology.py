@@ -2,15 +2,13 @@
 
 A representation assigns a vector space over a field (QQ unless one is
 given) to each element and a map to each cover; one a user builds is
-checked, on its support, for composites independent of the route.  The
-minimal resolution of a simple builds none: each term is a sum of
-projectives, kept as its tops, and Hom(P_s, P_t) is K when t <= s, so each
-differential is a scalar matrix whose map at y is its block on the tops at
-or below y; P_y lives on the up-set of y, so the resolution of S_x visits
-only the up-set of x.  Every resolution is verified from those matrices
-where a term is nonzero, and checked against the Mobius function, which does
-not depend on the field; the global dimension does (3 over QQ and 4 over F_2
-for the face poset of RP^2), and is below the longest chain's length.
+checked, on its support, for composites independent of the route.  A
+minimal resolution builds none: each term is a sum of projectives, kept as
+its tops, and Hom(P_s, P_t) is K when t <= s, so each differential is a
+scalar matrix whose map at y is its columns at tops <= y, kept sparse for
+``reduce_columns`` on the up-set of the simple.  Each resolution is verified
+from its matrices and checked against the Mobius function; the global
+dimension, below the chain bound, depends on the field (3 over QQ, 4 over F_2 for RP^2).
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from typing import Mapping
 
 from .errors import InternalInvariantError, QuiverError
 from .fields import QQ
-from .linalg import Mat
+from .linalg import Mat, reduce_columns
 from .poset import Poset
 from .structure import _of_rows
 
@@ -246,25 +244,26 @@ class Resolution:
         if covers[:1] != ((x,),):
             raise InternalInvariantError(f"term 0 is not the projective cover of the simple at {x}")
         field = self.differentials[0].field if self.differentials else QQ
-        # d0 onto the simple: the identity at x; no block where both terms vanish
-        blocks, ranks, at = {x: Mat.identity(1, field)}, {x: 1}, _below(poset, covers[0])
+        # d0 onto the simple: rank 1 at x; no rank where both terms vanish
+        ranks, at = {x: 1}, _below(poset, covers[0])
         for k, (phi, t, s) in enumerate(zip(self.differentials, covers, covers[1:]), 1):
             for i, j in ((i, j) for i, row in enumerate(phi.rows) for j, a in enumerate(row) if a):
                 if not poset.rows[t[i]] >> s[j] & 1:
                     raise InternalInvariantError(f"morphism d{k} does not commute at ({i}, {j})")
                 if t[i] == s[j]:
                     raise InternalInvariantError(f"step {k} is not minimal at element {s[j]}")
-            at_k = _below(poset, s)
-            support = sorted(at.keys() | at_k.keys())
-            new = {y: phi.take(at.get(y, ()), at_k[y]) for y in support if y in at_k}
-            for y in sorted(set(s)):  # a map out of P_s is fixed by its value at s
-                if y in blocks and blocks[y].nrows and not (blocks[y] @ new[y]).is_zero():
+            if k > 1:  # d0 lives at x alone, where no entry of d1 survives the checks above
+                product = self.differentials[k - 2] @ phi  # a map out of P_s is fixed at s
+                for y in sorted(s[j] for j in range(len(s)) if any(r[j] for r in product.rows)):
                     raise InternalInvariantError(f"d{k - 1} after d{k} is nonzero at {y}")
-            new_ranks = {y: blk.rank() for y, blk in new.items()}
-            for y in (y for y in support
+            at_k = _below(poset, s)
+            columns = phi._columns()  # an entry of column j sits at a top below s_j
+            new_ranks = {y: len(reduce_columns({j: columns[j] for j in js}, field)[0])
+                         for y, js in at_k.items()}
+            for y in (y for y in sorted(at.keys() | at_k.keys())
                       if new_ranks.get(y, 0) != len(at.get(y, ())) - ranks.get(y, 0)):
                 raise InternalInvariantError(f"homology at step {k - 1}, element {y}")
-            blocks, ranks, at = new, new_ranks, at_k
+            ranks, at = new_ranks, at_k
         for y in (y for y in sorted(at) if ranks.get(y, 0) != len(at[y])):
             raise InternalInvariantError(f"resolution not finished at {y}")
 
@@ -286,7 +285,7 @@ def minimal_resolution(poset: Poset, x: str, field=QQ) -> Resolution:
     covers and the vectors before it, the rule of ``projective_cover``.
     Running past longest_chain(poset) steps means the construction is broken."""
     xi = poset.position(x)
-    tops, covers, differentials, at = (xi,), [(xi,)], [], _below(poset, (xi,))
+    tops, covers, differentials = (xi,), [(xi,)], []
     # per element of the up-set, the kernel basis vectors as {coordinate of the term: entry}
     kernels = {y: [{0: field.one}] if y != xi else [] for y in poset.up_sets[xi]}
     for _ in range(poset.longest_chain()):
@@ -294,21 +293,18 @@ def minimal_resolution(poset: Poset, x: str, field=QQ) -> Resolution:
         for y, kernel in kernels.items():  # the up-set, ascending
             rad = [col for z in poset.lower_covers[y] for col in kernels.get(z, ())]
             if rad and kernel:
-                both = rad + kernel
-                _, pivots = Mat._owning([[col.get(i, field.zero) for col in both] for i in at[y]],
-                                        len(both), field).rref()
-                kernel = [both[c] for c in pivots if c >= len(rad)]
+                pivots = reduce_columns(dict(enumerate(rad + kernel)), field)[0]
+                kernel = [kernel[c - len(rad)] for c in pivots if c >= len(rad)]
             tops += [y] * len(kernel)
             columns += kernel
         if not tops:
             return Resolution(poset, xi, tuple(covers), tuple(differentials))
-        phi = Mat._owning([[col.get(i, field.zero) for col in columns] for i in range(n)],
-                          len(columns), field)
         covers.append(tuple(tops))
-        differentials.append(phi)
-        at, at_prev = _below(poset, tops), at
-        kernels = {y: [dict(zip(at[y], col))
-                       for col in zip(*phi.take(at_prev[y], at[y]).null_space()[0].rows)]
+        differentials.append(Mat._owning([[col.get(i, field.zero) for col in columns]
+                                          for i in range(n)], len(columns), field))
+        # the map at y is the columns with tops <= y, whose entries already sit at tops <= y
+        at = _below(poset, tops)
+        kernels = {y: list(reduce_columns({j: columns[j] for j in at[y]}, field, True)[1].values())
                    if y in at else [] for y in kernels}
     raise InternalInvariantError(
         f"projective resolution of {x!r} exceeded the chain bound {poset.longest_chain()}")

@@ -1,22 +1,55 @@
-"""Dense exact linear algebra over a coefficient field.
+"""Exact linear algebra over a coefficient field, on sparse columns.
 
-Matrices are small here (tens of rows), so plain row reduction with exact
-arithmetic is enough.  Pivots are chosen as the first nonzero entry, never
-by magnitude: there is no rounding to stabilize.  An entry is tested for
-zero by its truth value, which both coefficient fields define.  Rational
-entries stay ints until the one division, a pivot inverse by ``field.div``,
-leaves a remainder: a reduction whose pivots are all 1 or -1 builds no
-Fraction.
+``reduce_columns`` is the one elimination: it reduces ``{row: scalar}``
+columns from the left into the pivot columns, the rank and the canonical
+null vectors, and ``Mat`` takes its rank, rref, null space and solutions
+from it.  Pivots are chosen by position, never by magnitude; an entry is
+zero by its truth value.  Rational entries stay ints until the one division,
+a pivot inverse by ``field.div``, leaves a remainder: a reduction whose
+pivots are all 1 or -1 builds no Fraction.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .errors import InternalInvariantError
 from .fields import QQ
 
-__all__ = ["Mat"]
+__all__ = ["Mat", "reduce_columns"]
+
+
+def reduce_columns(columns: Mapping, field=QQ, relations: bool = False) -> tuple[list, dict]:
+    """Reduce ``columns``, labels to sparse columns {row: scalar}, in their order.
+
+    Returns the labels of the pivot columns, those outside the span of the
+    columns before them, and with ``relations`` one null vector per other
+    column c, keyed by c: e_c minus c's coordinates in the pivot columns, as
+    {label: scalar}.  A pivot column is kept scaled to 1 at its largest row, its lead.
+    """
+    one, kept, pivots, nulls = field.one, {}, [], {}  # kept: leading row -> (column, relation)
+    for c, column in columns.items():
+        r, rel = dict(column), {c: one}
+        while r and (lead := max(r)) in kept:
+            a = r[lead]
+            for acc, w in zip((r, rel) if relations else (r,), kept[lead]):
+                for i, b in w.items():  # acc -= a * w, dropping the entries that cancel
+                    x = acc.get(i)
+                    if x is None:
+                        acc[i] = -(a * b)
+                    elif x := x - a * b:
+                        acc[i] = x
+                    else:
+                        del acc[i]
+        if not r:
+            nulls[c] = rel
+            continue
+        if r[lead] != one:  # pivots of 1 are common: 0/1 inclusions
+            inv = field.div(one, r[lead])
+            r, rel = ({i: x * inv for i, x in d.items()} for d in (r, rel))
+        kept[lead] = (r, rel)
+        pivots.append(c)
+    return pivots, nulls if relations else {}
 
 
 class Mat:
@@ -61,9 +94,6 @@ class Mat:
     def column(self, j: int) -> list:
         return [self.rows[i][j] for i in range(self.nrows)]
 
-    def take(self, rows: Sequence[int], cols: Sequence[int]) -> "Mat":
-        return Mat._owning([[self.rows[i][j] for j in cols] for i in rows], len(cols), self.field)
-
     def take_rows(self, indices: Sequence[int]) -> "Mat":
         return Mat._owning([list(self.rows[i]) for i in indices], self.ncols, self.field)
 
@@ -105,64 +135,38 @@ class Mat:
     def is_zero(self) -> bool:
         return not any(map(any, self.rows))
 
-    def _eliminate(self) -> tuple[list[list], list[int]]:
-        """Reduced row echelon form of a copy; returns (rows, pivot columns)."""
-        rows = [list(r) for r in self.rows]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.ncols if self.nrows else 0):
-            for pivot in range(r, self.nrows):
-                if rows[pivot][c]:
-                    break
-            else:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            if rows[r][c] != self.field.one:  # pivots of 1 are common: 0/1 inclusions
-                inv = self.field.div(self.field.one, rows[r][c])
-                rows[r] = [x * inv if x else x for x in rows[r]]
-            for i in range(self.nrows):
-                if i != r and rows[i][c]:
-                    factor = rows[i][c]
-                    rows[i] = [a - factor * b if b else a for a, b in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.nrows:
-                break
-        return rows, pivots
+    def _columns(self) -> dict[int, dict]:
+        return {c: {i: r[c] for i, r in enumerate(self.rows) if r[c]} for c in range(self.ncols)}
 
     def rank(self) -> int:
-        return len(self._eliminate()[1])
+        return len(reduce_columns(self._columns(), self.field)[0])
 
     def rref(self) -> tuple["Mat", tuple[int, ...]]:
-        rows, pivots = self._eliminate()
-        return Mat._owning(rows, self.ncols, self.field), tuple(pivots)
+        """Row r holds each column's coordinate on pivot column r."""
+        pivots, nulls = reduce_columns(self._columns(), self.field, relations=True)
+        out = Mat(self.nrows, self.ncols, field=self.field)
+        for row, p in zip(out.rows, pivots):
+            row[p] = self.field.one
+            for c, rel in nulls.items():
+                if p in rel:
+                    row[c] = -rel[p]
+        return out, tuple(pivots)
 
     def null_space(self) -> tuple["Mat", tuple[int, ...]]:
         """Null-space basis columns and the free columns of the rref; the basis
         is the identity on the free rows, which hold a null vector's coordinates."""
-        rows, pivots = self._eliminate()
-        free = tuple(sorted(set(range(self.ncols)).difference(pivots)))
-        basis = Mat(self.ncols, len(free), field=self.field)
-        for k, c in enumerate(free):
-            basis.rows[c][k] = self.field.one
-            for r, pc in enumerate(pivots):
-                basis.rows[pc][k] = -rows[r][c]
-        return basis, free
+        nulls = reduce_columns(self._columns(), self.field, relations=True)[1]
+        rows = [[rel.get(i, self.field.zero) for rel in nulls.values()] for i in range(self.ncols)]
+        return Mat._owning(rows, len(nulls), self.field), tuple(nulls)
 
     def solve(self, rhs: "Mat") -> "Mat":
         """X with self @ X = rhs; raises if the system is inconsistent."""
         if rhs.nrows != self.nrows:
             raise InternalInvariantError("solve shape mismatch")
-        aug = self.hstack(rhs)
-        rows, pivots = aug._eliminate()
-        for r in range(len(pivots)):
-            if pivots[r] >= self.ncols:
-                raise InternalInvariantError("inconsistent linear system")
-        for r in range(len(pivots), self.nrows):
-            if any(rows[r][self.ncols:]):
-                raise InternalInvariantError("inconsistent linear system")
+        red, pivots = self.hstack(rhs).rref()
+        if pivots and pivots[-1] >= self.ncols:
+            raise InternalInvariantError("inconsistent linear system")
         out = Mat(self.ncols, rhs.ncols, field=self.field)
-        for r, pc in enumerate(pivots):
-            for j in range(rhs.ncols):
-                out.rows[pc][j] = rows[r][self.ncols + j]
+        for r, p in enumerate(pivots):
+            out.rows[p] = red.rows[r][self.ncols:]
         return out

@@ -395,3 +395,16 @@ def test_criterion_12_tabulated_oracle_on_seed_2437():
     walks = sum(r.path_count for r in reports)
     _report(12, f"tabulated oracle, uncapped L = 7, {walks} walks on the "
                 f"seed-2437 quiver: reports unchanged ({elapsed:.3f}s)")
+
+
+def test_criterion_13_morita_check_is_linear_at_600_vertices():
+    # one product per incidence unit against the sum of the units, plus one per
+    # vertex for fullness: each product reads the sum's entries grouped by row once
+    n = 600
+    skel = skeleton(random_sparse_quiver(n, 2 * n, random.Random(n)))
+    start = time.perf_counter()
+    iso = skeleton_iso_incidence(skel)
+    elapsed = time.perf_counter() - start
+    assert iso.products_checked == iso.incidence.dimension + n
+    assert elapsed < 2.0
+    _report(13, f"Morita check at n = {n}, {iso.products_checked} products ({elapsed:.3f}s)")

@@ -1,3 +1,5 @@
+import itertools
+import pickle
 import random
 from dataclasses import replace
 
@@ -214,8 +216,13 @@ def test_scalar_differentials_match_the_representation_route(poset):
                                                  for y in range(len(poset))]
         for k, phi in enumerate(res.differentials, 1):
             at_prev, at = _below(poset, res.covers[k - 1]), _below(poset, res.covers[k])
-            assert tuple(phi.take(at_prev.get(y, []), at.get(y, []))
+            assert tuple(_block(phi, at_prev.get(y, []), at.get(y, []))
                          for y in range(len(poset))) == steps[k][2]
+
+
+def _block(phi, rows, cols):
+    """The block of ``phi`` on the given rows and columns, its entries as they are."""
+    return Mat._owning([[phi.rows[i][j] for j in cols] for i in rows], len(cols), phi.field)
 
 
 def test_steps_past_the_cover_build_no_morphism(monkeypatch):
@@ -635,3 +642,82 @@ def test_a_resolution_that_disagrees_with_mobius_is_caught(monkeypatch):
     monkeypatch.setattr(homology.Resolution, "verify", lambda self: None)
     with pytest.raises(InternalInvariantError, match="'a' disagrees with the Mobius function"):
         global_dimension(diamond())
+
+
+def _dense_rref(rows, ncols, field):
+    """Reduced row echelon form of a copy of ``rows`` and its pivot columns: the
+    dense row reduction ``Mat`` used before it reduced sparse columns."""
+    rows, pivots, r = [list(row) for row in rows], [], 0
+    for c in range(ncols if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        if rows[r][c] != field.one:
+            inv = field.div(field.one, rows[r][c])
+            rows[r] = [x * inv if x else x for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                factor = rows[i][c]
+                rows[i] = [a - factor * b if b else a for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def dense_minimal_resolution(poset, x, field=QQ):
+    """``minimal_resolution`` as it stood with dense blocks: per element and step, a
+    matrix rebuilt from the kernels' columns for the generators' rref, and the block
+    of Φ on the tops at or below the element for the next kernel's null space."""
+    xi = poset.position(x)
+    tops, covers, differentials, at = (xi,), [(xi,)], [], _below(poset, (xi,))
+    kernels = {y: [{0: field.one}] if y != xi else [] for y in poset.up_sets[xi]}
+    for _ in range(poset.longest_chain()):
+        n, tops, columns = len(tops), [], []
+        for y, kernel in kernels.items():
+            rad = [col for z in poset.lower_covers[y] for col in kernels.get(z, ())]
+            if rad and kernel:
+                both = rad + kernel
+                _, pivots = _dense_rref([[col.get(i, field.zero) for col in both]
+                                         for i in at[y]], len(both), field)
+                kernel = [both[c] for c in pivots if c >= len(rad)]
+            tops += [y] * len(kernel)
+            columns += kernel
+        if not tops:
+            return tuple(covers), tuple(differentials)
+        phi = Mat._owning([[col.get(i, field.zero) for col in columns] for i in range(n)],
+                          len(columns), field)
+        covers.append(tuple(tops))
+        differentials.append(phi)
+        at, at_prev = _below(poset, tops), at
+        kernels = {}
+        for y in poset.up_sets[xi]:
+            block = _block(phi, at_prev.get(y, []), at.get(y, []))
+            rows, pivots = _dense_rref(block.rows, block.ncols, field)
+            free = [c for c in range(block.ncols) if c not in pivots]
+            # the null vector of free column c: 1 at c, minus its rref entries at the pivots
+            kernels[y] = [dict([(at[y][c], field.one)] + [(at[y][p], -rows[r][c])
+                                                          for r, p in enumerate(pivots)])
+                          for c in free]
+    raise AssertionError("the dense reference ran past the chain bound")
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=["QQ", "F2", "F3"])
+@pytest.mark.parametrize("poset", SEEDED_POSETS + [
+    pytest.param(random_poset(m, 1000 * m + s, 0.3), id=f"random_poset_{m}_{s}")
+    for m, s in zip(range(1, 26), itertools.cycle(range(8)))])
+def test_sparse_resolutions_match_the_dense_construction(poset, field):
+    # the same covers, and every differential entry of the same type and value;
+    # over QQ the pickles too (over F_p they also record which entries share one
+    # object, which the dense blocks and the sparse columns do not share alike)
+    for x in poset.elements:
+        res, (covers, differentials) = minimal_resolution(poset, x, field), \
+            dense_minimal_resolution(poset, x, field)
+        assert res.covers == covers
+        assert [[[(type(a), a) for a in row] for row in phi.rows] for phi in res.differentials] \
+            == [[[(type(a), a) for a in row] for row in phi.rows] for phi in differentials]
+        if field is QQ:
+            assert pickle.dumps((res.covers, res.differentials)) == pickle.dumps(
+                (covers, differentials))

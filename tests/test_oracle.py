@@ -544,8 +544,15 @@ def test_verify_builds_no_path_in_the_oracle(field, monkeypatch, capsys):
     def refuse(*args, **kwargs):
         pytest.fail("the oracle built a path")
 
-    monkeypatch.setattr("commalg.oracle.enumerate_paths", refuse)
+    def count_only(self, quiver, source, max_length, cap=None, lists=False):
+        if lists:
+            pytest.fail("the oracle listed walks")
+        walks_from(self, quiver, source, max_length, cap, lists)
+
+    walks_from = WalksFrom.__init__
+    monkeypatch.setattr("commalg.quiver.enumerate_paths", refuse)
     monkeypatch.setattr("commalg.oracle.Path", refuse)
+    monkeypatch.setattr(WalksFrom, "__init__", count_only)
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(TWO_BLOCK_DSL.encode())))
     assert run(["verify", "--field", field, "-"]) == 0
     out = capsys.readouterr().out
