@@ -155,29 +155,28 @@ def _cmd_blockform(args) -> str:
 def _cmd_skeleton(args) -> str:
     quiver = _load(args)
     skel = skeleton(quiver)
-    diagram = hasse(skel.poset)
+    elements, covers = skel.poset.elements, hasse(skel.poset).cover_pairs()
     if args.format == "dot":
         lines = [f'digraph "{quiver.name}_skeleton" {{']
-        for x in skel.poset.elements:
-            lines.append(f'  "{x}";')
-        for x, y in diagram.cover_pairs():
-            lines.append(f'  "{x}" -> "{y}";')
+        lines += [f'  "{x}";' for x in elements]
+        lines += [f'  "{x}" -> "{y}";' for x, y in covers]
         lines.append("}")
         return "\n".join(lines) + "\n"
-    inc = incidence_algebra(skel.poset)
-    payload = {
-        "elements": list(skel.poset.elements),
-        "representatives": list(skel.representatives),
-        "leq": list(_bitstrings(skel.poset.rows)),
-        "covers": [[x, y] for x, y in diagram.cover_pairs()],
-        "incidence_dimension": inc.dimension,
-    }
+    dimension = incidence_algebra(skel.poset).dimension
     if args.format == "pretty":
-        lines = [f"elements: {' '.join(skel.poset.elements)}"]
-        lines += [f"cover: {x} -> {y}" for x, y in diagram.cover_pairs()]
-        lines.append(f"incidence dimension: {inc.dimension}")
+        lines = [f"elements: {' '.join(elements)}"]
+        lines += [f"cover: {x} -> {y}" for x, y in covers]
+        lines.append(f"incidence dimension: {dimension}")
         return "\n".join(lines) + "\n"
-    return _json(payload)
+    return _json(
+        {
+            "elements": list(elements),
+            "representatives": list(skel.representatives),
+            "leq": list(_bitstrings(skel.poset.rows)),
+            "covers": [[x, y] for x, y in covers],
+            "incidence_dimension": dimension,
+        }
+    )
 
 
 def _cmd_incidence(args) -> str:

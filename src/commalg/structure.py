@@ -4,15 +4,15 @@ The package has two order types, both stored as row bitsets (bit j of row i
 means i <= j) and handled by the private core at the top of this module: the
 preorder ``ReachabilityPattern`` on the vertices and the partial order
 ``Poset``.  Bool matrices are only constructor input, converted by ``_rows``,
-and views (``bits``, ``Poset.leq``) built when first read.  The closure is
-Tarjan's components, sinks first, each row its mask OR the rows its edges
-reach.  Every order is checked over the edges that generate it (the arrows,
-a poset's pairs, or a matrix's related pairs) by ``_closed_order``: each
-row holds its group, no edge leads back, and each row is its mask OR its
-successors' rows, which on the remaining DAG is reachability.  The path
-components are the classes of equal rows, checked against Tarjan's; the
-condensation is the ``Poset`` on the first vertex of each, and it is the
-skeleton's poset.
+and views (``bits``, ``Poset.leq``) built when first read.  A closure is read
+over the successor lists and Tarjan's components its caller built once,
+sinks first, each row its mask OR the rows its edges reach.  Every order is
+checked over the edges that generate it (the arrows, a poset's pairs, or a
+matrix's related pairs) by ``_closed_order``: each row holds its group, no
+edge leads back, and each row is its mask OR its successors' rows, which on
+the remaining DAG is reachability.  The path components are the classes of
+equal rows, checked against the components the closure was read over; the
+condensation is the ``Poset`` on the first vertex of each, the skeleton's.
 """
 
 from __future__ import annotations
@@ -102,11 +102,11 @@ def _components(n: int, succ: Sequence[Sequence[int]]) -> list[list[int]]:
     return out
 
 
-def _closure(n: int, pairs: Iterable[tuple[int, int]]) -> Rows:
-    """Reflexive-transitive closure of index pairs on range(n): over Tarjan's
-    components, sinks first, each row is its mask OR the rows its edges reach."""
-    succ, rows = _successors(n, pairs), [0] * n
-    for comp in _components(n, succ):
+def _closure(succ: Sequence[Sequence[int]], comps: Iterable[Sequence[int]]) -> Rows:
+    """Reflexive-transitive closure of the edges ``succ``: over their Tarjan
+    components ``comps``, sinks first, each row is its mask OR the rows its edges reach."""
+    rows = [0] * len(succ)
+    for comp in comps:
         row = 0
         for v in comp:
             row |= 1 << v
@@ -330,8 +330,8 @@ class Poset:
                 raise QuiverError(f"pair ({x!r}, {y!r}) mentions an unknown element")
             edges.append((index[x], index[y]))
         succ = _successors(len(elements), [(i, j) for i, j in edges if i != j])
-        rows, order = _closed_order(_closure(len(elements), edges), None, succ, QuiverError,
-                                    "leq", elements)
+        rows, order = _closed_order(_closure(succ, _components(len(elements), succ)), None,
+                                    succ, QuiverError, "leq", elements)
         return _of_rows(cls, elements=elements, rows=rows, _succ=succ, _extension=order)
 
     @cached_property
@@ -428,21 +428,21 @@ def path_components(quiver: Quiver) -> ComponentPartition:
 def reachability(quiver: Quiver) -> ReachabilityPattern:
     """Pattern over the declaration order: v reaches w iff a path runs from v to w.
 
-    Every vertex reaches itself by its length-zero path.  The closure is
-    checked to hold every arrow, its condensation to be the closure of the
-    arrows between its classes of equal rows, and those classes to be the
-    strongly connected components: two routes to the components.
+    Every vertex reaches itself by its length-zero path.  The closure, read
+    over Tarjan's components, is checked to hold every arrow, its condensation
+    to be the closure of the arrows between its classes of equal rows, and
+    those classes to be the components it was read over.
     """
     n, idx = quiver.n, quiver.vertex_index
     pairs = [(idx[a.source], idx[a.target]) for a in quiver.arrows]
-    rows = _closure(n, pairs)
+    succ = _successors(n, pairs)
+    sccs = _components(n, succ)
+    rows = _closure(succ, sccs)
     for arrow, (i, j) in zip(quiver.arrows, pairs):
         if not rows[i] >> j & 1:
             raise InternalInvariantError(f"pattern misses arrow {arrow.name!r}")
-    succ = _successors(n, pairs)
     pattern = _of_rows(ReachabilityPattern, order=quiver.vertices, rows=rows, _succ=succ)
     pattern.condensation  # its checks imply the vertex-level preorder
-    sccs = _components(n, succ)
     if len(sccs) != len(pattern.partition) or any(rows[v] != rows[c[0]] for c in sccs for v in c):
         raise InternalInvariantError("strongly connected components are not the classes "
                                      "of equal rows")

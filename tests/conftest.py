@@ -8,7 +8,7 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")])
 )
 
-from commalg.examples import (
+from quiver_examples import (
     kronecker_quiver,
     oriented_cycle,
     six_cycle,

@@ -1,12 +1,12 @@
-"""Small example quivers used in tests and documentation.
+"""Small example quivers, the test suite's fixtures.
 
 Each is provided both as DSL text (exercising the parser) and as a loader.
 """
 
 from __future__ import annotations
 
-from .dsl import parse_quiver
-from .quiver import Arrow, Quiver
+from commalg.dsl import parse_quiver
+from commalg.quiver import Arrow, Quiver
 
 __all__ = [
     "TWO_BLOCK_DSL",

@@ -27,14 +27,6 @@ from commalg import (
     skeleton_iso_incidence,
     truncated_hom_dimension,
 )
-from commalg.examples import (
-    kronecker_quiver,
-    oriented_cycle,
-    six_cycle,
-    six_cycle_with_chord,
-    three_block_quiver,
-    two_block_quiver,
-)
 from commalg.poset import Poset, hasse_quiver
 from commalg.quiver import Quiver, enumerate_paths
 from commalg.randgen import (
@@ -42,6 +34,14 @@ from commalg.randgen import (
     random_sparse_quiver,
     random_tree_quiver,
     random_weights,
+)
+from quiver_examples import (
+    kronecker_quiver,
+    oriented_cycle,
+    six_cycle,
+    six_cycle_with_chord,
+    three_block_quiver,
+    two_block_quiver,
 )
 
 

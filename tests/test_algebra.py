@@ -369,9 +369,9 @@ def test_a_build_closes_once_and_checks_only_component_rows(monkeypatch):
     closures, checked = [], []
     closure, check = structure._closure, structure._closed_order
 
-    def counted_closure(n, pairs):
-        closures.append(n)
-        return closure(n, pairs)
+    def counted_closure(succ, comps):
+        closures.append(len(succ))
+        return closure(succ, comps)
 
     def counted_check(rows, *args, **kwargs):
         checked.append(len(rows))

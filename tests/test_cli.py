@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from commalg import InternalInvariantError, parse_quiver
 from commalg import cli
 from commalg.cli import run
-from commalg.examples import THREE_BLOCK_DSL, TWO_BLOCK_DSL
+from quiver_examples import THREE_BLOCK_DSL, TWO_BLOCK_DSL
 
 BAD_DSL = "quiver Q {\n  vertices: v, v;\n}\n"
 
@@ -296,7 +296,7 @@ def test_module_entry_point_error():
 
 
 def test_verify_cycle(capsys, tmp_path):
-    from commalg.examples import SIX_CYCLE_DSL
+    from quiver_examples import SIX_CYCLE_DSL
 
     path = tmp_path / "c6.quiver"
     path.write_text(SIX_CYCLE_DSL)
@@ -334,12 +334,14 @@ def test_format_shorthands(command, shorthand, fmt, two_block_file, capsys):
 
 
 def _count_stages(monkeypatch, argv, capsys):
-    """Run the CLI; count commuting-algebra builds and longest-chain passes."""
+    """Run the CLI; count commuting-algebra builds, longest-chain passes and
+    Tarjan runs."""
     import commalg.structure
     from commalg.algebra import CommutingAlgebra
 
-    counts = {"builds": 0, "chains": 0}
+    counts = {"builds": 0, "chains": 0, "components": 0}
     init, chain = CommutingAlgebra.__init__, commalg.structure._longest_chain
+    components = commalg.structure._components
 
     def counted_init(self, *args, **kwargs):
         counts["builds"] += 1
@@ -349,8 +351,13 @@ def _count_stages(monkeypatch, argv, capsys):
         counts["chains"] += 1
         return chain(*args)
 
+    def counted_components(*args):
+        counts["components"] += 1
+        return components(*args)
+
     monkeypatch.setattr(CommutingAlgebra, "__init__", counted_init)
     monkeypatch.setattr(commalg.structure, "_longest_chain", counted_chain)
+    monkeypatch.setattr(commalg.structure, "_components", counted_components)
     code, _, _ = run_cli(argv, capsys)
     assert code == 0
     return counts
@@ -359,7 +366,7 @@ def _count_stages(monkeypatch, argv, capsys):
 def test_verify_builds_each_stage_once(monkeypatch, two_block_file, capsys):
     # the quiver's algebra, then its skeleton's Hasse quiver for idempotence
     counts = _count_stages(monkeypatch, ["verify", two_block_file], capsys)
-    assert counts == {"builds": 2, "chains": 1}
+    assert counts == {"builds": 2, "chains": 1, "components": 2}
 
 
 def test_gldim_builds_each_stage_once(monkeypatch, tmp_path, capsys):
@@ -370,7 +377,12 @@ def test_gldim_builds_each_stage_once(monkeypatch, tmp_path, capsys):
     path = tmp_path / "poset.quiver"
     path.write_text(to_dsl(hasse_quiver(random_poset(16, 16016, 0.3))))
     counts = _count_stages(monkeypatch, ["gldim", str(path)], capsys)
-    assert counts == {"builds": 1, "chains": 1}
+    assert counts == {"builds": 1, "chains": 1, "components": 1}
+
+
+def test_blockform_builds_each_stage_once(monkeypatch, two_block_file, capsys):
+    counts = _count_stages(monkeypatch, ["blockform", two_block_file], capsys)
+    assert counts == {"builds": 1, "chains": 0, "components": 1}
 
 
 def test_gldim_sorts_the_skeleton_order_once(monkeypatch, tmp_path, capsys):

@@ -17,7 +17,8 @@ import pytest
 
 from commalg import structure, to_dsl
 from commalg.cli import run
-from commalg.examples import (
+from commalg.randgen import random_quiver, random_sparse_quiver
+from quiver_examples import (
     kronecker_quiver,
     oriented_cycle,
     six_cycle,
@@ -26,7 +27,6 @@ from commalg.examples import (
     triangle,
     two_block_quiver,
 )
-from commalg.randgen import random_quiver, random_sparse_quiver
 
 GOLDEN_SHA256 = "2cc59991d3f68e8cd28f5f89ecbad8dae06db84566f50e047eccfa9254322e9e"
 

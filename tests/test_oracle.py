@@ -21,12 +21,12 @@ from commalg import (
     vertex_nondegeneracy,
 )
 from commalg.cli import run
-from commalg.examples import TWO_BLOCK_DSL
 from commalg.linalg import Mat
 from commalg.quiver import Path, Quiver, WalksFrom, enumerate_paths
 from commalg.randgen import random_quiver, random_sparse_quiver, random_weights
 from commalg.structure import reachability
 from commalg.fields import QQ, PrimeFieldElement
+from quiver_examples import TWO_BLOCK_DSL
 
 
 def two_routes():

@@ -21,6 +21,7 @@ from commalg import (
 )
 from commalg import structure
 from commalg.algebra import AlgebraElement
+from commalg.quiver import Quiver
 from commalg.randgen import random_poset, random_quiver, random_sparse_quiver
 from commalg.structure import path_components
 
@@ -336,6 +337,20 @@ def test_idempotence_fixtures():
     assert idempotence_check(diamond())
     assert idempotence_check(antichain(3))
     assert idempotence_check(chain(1))
+
+
+@pytest.mark.parametrize("poset", [chain(3), diamond()], ids=["chain", "diamond"])
+def test_idempotence_fails_on_a_hasse_quiver_missing_a_cover(monkeypatch, poset):
+    import commalg.poset
+
+    build = commalg.poset.hasse_quiver
+
+    def dropped(p, *args):
+        q = build(p, *args)
+        return Quiver(q.vertices, q.arrows[:-1], name=q.name)
+
+    monkeypatch.setattr(commalg.poset, "hasse_quiver", dropped)
+    assert not idempotence_check(poset)
 
 
 @pytest.mark.parametrize("seed", range(40))

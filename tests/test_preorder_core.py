@@ -20,7 +20,7 @@ from commalg import (
     path_components,
 )
 from commalg.randgen import random_quiver
-from commalg.structure import _closure
+from commalg.structure import _closure, _components, _successors
 
 
 def warshall(n, pairs):
@@ -222,4 +222,5 @@ def test_closure_matches_warshall(seed):
     for i, j in rng.sample(pairs, min(len(pairs), 4)):
         pairs += [(j, i), (i, j), (i, i)]
     rng.shuffle(pairs)
-    assert _closure(n, pairs) == warshall(n, pairs)
+    succ = _successors(n, pairs)
+    assert _closure(succ, _components(n, succ)) == warshall(n, pairs)

@@ -5,8 +5,10 @@ import pytest
 from commalg import (
     ComponentPartition,
     InternalInvariantError,
+    Poset,
     QuiverError,
     ReachabilityPattern,
+    commuting_algebra,
     condensation,
     consistent_ordering,
     enumerate_paths,
@@ -15,6 +17,7 @@ from commalg import (
     reachability,
     topological_component_order,
 )
+from commalg import structure
 from commalg.quiver import Quiver
 from commalg.randgen import random_quiver
 
@@ -183,3 +186,31 @@ def test_membership_covers_every_vertex(two_block):
     part = path_components(two_block)
     assert set(part.membership) == set(two_block.vertices)
     assert len(part) == 2
+
+
+def _count_graph_builds(monkeypatch):
+    """Count the successor-list builds and Tarjan runs of the structural core."""
+    calls = {"_successors": 0, "_components": 0}
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(structure, name, counted(name, getattr(structure, name)))
+    return calls
+
+
+def test_a_build_makes_its_successors_and_components_once(monkeypatch, two_block):
+    calls = _count_graph_builds(monkeypatch)
+    assert commuting_algebra(two_block).block_sizes == (4, 2)
+    assert calls == {"_successors": 1, "_components": 1}
+
+
+def test_from_pairs_makes_its_successors_and_components_once(monkeypatch):
+    calls = _count_graph_builds(monkeypatch)
+    poset = Poset.from_pairs("abcd", [("a", "b"), ("b", "c"), ("a", "a"), ("c", "d")])
+    assert poset.le("a", "d") and not poset.le("d", "a")
+    assert calls == {"_successors": 1, "_components": 1}
