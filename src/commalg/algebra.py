@@ -21,7 +21,7 @@ from typing import Mapping
 
 from .errors import InternalInvariantError, QuiverError
 from .fields import QQ
-from .quiver import Path, Quiver, compose
+from .quiver import Path, Quiver, _exact_weights, compose
 from .structure import (ReachabilityPattern, _matrix, _of_rows, reachability,
                         topological_component_order)
 
@@ -47,20 +47,11 @@ class CoefficientFunction:
     weights: Mapping[str, Rational]
 
     def __post_init__(self):
-        cleaned = {}
-        for name, value in self.weights.items():
-            value = QQ.element(value)
-            if value == 0:
-                raise QuiverError(f"arrow {name!r} has zero weight")
-            cleaned[name] = value
-        object.__setattr__(self, "weights", cleaned)
+        object.__setattr__(self, "weights", _exact_weights(self.weights))
 
     def check_arrows(self, quiver: Quiver) -> None:
         """Raise QuiverError if a weight names an arrow ``quiver`` lacks."""
-        arrow_names = {a.name for a in quiver.arrows}
-        for name in self.weights:
-            if name not in arrow_names:
-                raise QuiverError(f"weight given for unknown arrow {name!r}")
+        _exact_weights(self.weights, {a.name for a in quiver.arrows})
 
     @classmethod
     def trivial(cls) -> "CoefficientFunction":
@@ -110,42 +101,35 @@ class CommutingAlgebra:
         blocks = [self.partition.components[ci] for ci in order]
         self.order = tuple(v for block in blocks for v in block)
         sizes = self.block_sizes = tuple(map(len, blocks))
-        masks = [((1 << d) - 1) << o for d, o in zip(sizes, accumulate(sizes, initial=0))]
+        offsets = tuple(accumulate(sizes, initial=0))
         position = {ci: b for b, ci in enumerate(order)}  # component -> block
-        # each block's row over blocks and over vertices: one OR per
-        # condensation edge, sinks first
-        up, vertex_rows = [1 << b for b in range(len(order))], masks[:]
+        cond_rows, closure, index = cond.rows, base_pattern.rows, quiver.vertex_index
+        # each block's row over blocks and over vertices, one OR per condensation
+        # edge, sinks first, checked as it is written (bugs only): its block is
+        # reflexive in the condensation, and it holds no earlier block, as many
+        # blocks as its condensation row and vertices as its first vertex's closure row
+        up = [1 << b for b in range(len(order))]
+        vertex_rows = [(1 << end) - (1 << start) for start, end in zip(offsets, offsets[1:])]
         for b in reversed(range(len(order))):
-            for cj in cond._succ[order[b]]:
+            ci = order[b]
+            for cj in cond._succ[ci]:
                 up[b] |= up[position[cj]]
                 vertex_rows[b] |= vertex_rows[position[cj]]
+            if not cond_rows[ci] >> ci & 1:
+                raise InternalInvariantError(f"diagonal block {b} is not full")
+            if vertex_rows[b] & (1 << offsets[b]) - 1:
+                raise InternalInvariantError("pattern is not block upper triangular "
+                                             "under the topological component order")
+            if (up[b].bit_count(), vertex_rows[b].bit_count()) != (
+                    cond_rows[ci].bit_count(), closure[index[blocks[b][0]]].bit_count()):
+                raise InternalInvariantError(f"block row {b} disagrees with the closure")
         self.block_rows = tuple(up)  # the condensation in block order
         rows = tuple(row for row, d in zip(vertex_rows, sizes) for _ in range(d))
         self.pattern = _of_rows(ReachabilityPattern, order=self.order, rows=rows)
-        closure = [base_pattern.rows[quiver.vertex_index[block[0]]] for block in blocks]
-        self._verify_block_form(masks, vertex_rows, closure)
 
     @cached_property
     def block_pattern(self) -> tuple[tuple[bool, ...], ...]:
         return _matrix(self.block_rows)
-
-    def _verify_block_form(self, masks: list[int], vertex_rows: list[int],
-                           closure: list[int]) -> None:
-        """Check each block row in topological order; bugs only.  Its block
-        must be reflexive in the condensation, and it must hold no earlier
-        block, as many blocks as its condensation row and as many vertices as
-        ``closure``, the closure row of the block's first vertex."""
-        cond_rows, earlier = self.condensation.rows, 0
-        for b, (ci, mask, row) in enumerate(zip(self.component_order, masks, vertex_rows)):
-            if not cond_rows[ci] >> ci & 1:
-                raise InternalInvariantError(f"diagonal block {b} is not full")
-            if row & earlier:
-                raise InternalInvariantError("pattern is not block upper triangular "
-                                             "under the topological component order")
-            if (self.block_rows[b].bit_count(), row.bit_count()) != (
-                    cond_rows[ci].bit_count(), closure[b].bit_count()):
-                raise InternalInvariantError(f"block row {b} disagrees with the closure")
-            earlier |= mask
 
     def over(self, field) -> "CommutingAlgebra":
         """The same algebra with scalars in ``field``; nothing is recomputed."""

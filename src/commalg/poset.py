@@ -88,14 +88,8 @@ class Skeleton:
 
 
 def skeleton(quiver: Quiver, representatives: Sequence[str] | None = None) -> Skeleton:
-    """Collapse each path component to a representative; order by reachability."""
-    return _skeleton(commuting_algebra(quiver), representatives)
-
-
-def _skeleton(
-    algebra: CommutingAlgebra, representatives: Sequence[str] | None = None
-) -> Skeleton:
-    """The skeleton of an already built commuting algebra's quiver."""
+    """Collapse each path component to a representative; the poset is the algebra's condensation."""
+    algebra = commuting_algebra(quiver)
     partition, poset = algebra.partition, algebra.condensation
     if representatives is None:
         representatives = poset.elements
@@ -107,10 +101,8 @@ def _skeleton(
             )
         for ci, rep in enumerate(representatives):
             if rep not in partition.components[ci]:
-                raise QuiverError(
-                    f"representative {rep!r} is not in component {ci}"
-                )
-    return Skeleton(algebra.quiver, poset, representatives, algebra)
+                raise QuiverError(f"representative {rep!r} is not in component {ci}")
+    return Skeleton(quiver, poset, representatives, algebra)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Rational
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 from .errors import QuiverError, TruncationOverflowError
 from .fields import QQ
@@ -63,6 +63,18 @@ class Path:
         return f"Path({self.start}:{'.'.join(self.arrows)}:{self.end})"
 
 
+def _exact_weights(weights: Mapping, arrows: Container[str] | None = None) -> dict:
+    """Each weight as an exact nonzero rational; with ``arrows``, refuse any other name."""
+    out = {}
+    for name, value in weights.items():
+        if arrows is not None and name not in arrows:
+            raise QuiverError(f"weight given for unknown arrow {name!r}")
+        out[name] = value = QQ.element(value)
+        if value == 0:
+            raise QuiverError(f"arrow {name!r} has zero weight")
+    return out
+
+
 class Quiver:
     """A finite directed multigraph with named vertices and arrows.
 
@@ -99,16 +111,7 @@ class Quiver:
             if a.name in seen:
                 raise QuiverError(f"duplicate arrow identifier {a.name!r}")
             seen.add(a.name)
-        cleaned: dict[str, Rational] = {}
-        for arrow_name, value in (weights or {}).items():
-            if arrow_name not in seen:
-                raise QuiverError(f"weight given for unknown arrow {arrow_name!r}")
-            value = QQ.element(value)
-            if value == 0:
-                raise QuiverError(f"arrow {arrow_name!r} has zero weight")
-            if value != 1:
-                cleaned[arrow_name] = value
-        self.weights = cleaned
+        self.weights = {k: v for k, v in _exact_weights(weights or {}, seen).items() if v != 1}
 
     @property
     def n(self) -> int:

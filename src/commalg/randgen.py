@@ -43,16 +43,16 @@ def random_sparse_quiver(
 ) -> Quiver:
     """Endpoint pairs sampled without replacement: no parallel duplicates.
 
-    Loops are allowed.  Path counts stay manageable, which keeps truncated
-    enumeration cheap; use this for oracle-heavy suites.
+    Loops are allowed, and path counts stay manageable: use this for oracle-heavy
+    suites.  The k pairs are k indices s * n + t drawn from range(n * n): O(k) memory.
     """
     rng = _rng(seed_or_rng)
     vertices = [f"v{i + 1}" for i in range(n_vertices)]
-    all_pairs = [(s, t) for s in vertices for t in vertices]
-    if not 0 <= n_arrows <= len(all_pairs):
-        raise QuiverError(f"need 0 to {len(all_pairs)} arrows, one per distinct endpoint pair")
-    chosen = rng.sample(all_pairs, n_arrows)
-    arrows = [Arrow(f"a{k + 1}", s, t) for k, (s, t) in enumerate(chosen)]
+    n = len(vertices)
+    if not 0 <= n_arrows <= n * n:
+        raise QuiverError(f"need 0 to {n * n} arrows, one per distinct endpoint pair")
+    chosen = (divmod(i, n) for i in rng.sample(range(n * n), n_arrows))
+    arrows = [Arrow(f"a{k + 1}", vertices[s], vertices[t]) for k, (s, t) in enumerate(chosen)]
     return Quiver(vertices, arrows, name=name)
 
 

@@ -13,6 +13,8 @@ edge leads back, and each row is its mask OR its successors' rows, which on
 the remaining DAG is reachability.  The path components are the classes of
 equal rows, checked against the components the closure was read over; the
 condensation is the ``Poset`` on the first vertex of each, the skeleton's.
+The pattern in the consistent order of ``consistent_ordering`` is built, and
+checked block by block, only by the commuting algebra's sweep.
 """
 
 from __future__ import annotations
@@ -280,16 +282,6 @@ class ReachabilityPattern:
             return bool(self.rows[self.index[source]] >> self.index[target] & 1)
         except KeyError as exc:
             raise QuiverError(f"unknown vertex {exc.args[0]!r}") from None
-
-    def reordered(self, new_order: Sequence[str]) -> "ReachabilityPattern":
-        new_order = tuple(new_order)
-        if sorted(new_order) != sorted(self.order):
-            raise QuiverError("new order is not a permutation of the vertices")
-        old = [self.index[v] for v in new_order]
-        rows = tuple(
-            sum(1 << k for k, j in enumerate(old) if self.rows[i] >> j & 1) for i in old
-        )
-        return _of_rows(ReachabilityPattern, order=new_order, rows=rows)
 
     def bitstrings(self) -> tuple[str, ...]:
         return _bitstrings(self.rows)

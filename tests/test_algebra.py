@@ -463,6 +463,24 @@ def test_each_wrong_condensation_row_raises_its_message(monkeypatch, flipped, me
         commuting_algebra(q)
 
 
+def test_a_closure_row_the_block_rows_do_not_match_raises(monkeypatch):
+    # the closure row of a's is cut after the condensation was read off it, so
+    # only the vertex count of the block row a's block writes stands in the way
+    reachability = algebra_module.reachability
+
+    def wrong(quiver):
+        pattern = reachability(quiver)
+        rows = list(pattern.rows)
+        rows[quiver.vertex_index["a"]] &= ~(1 << quiver.vertex_index["c"])
+        pattern.__dict__["rows"] = tuple(rows)
+        return pattern
+
+    q = Quiver("abc", [Arrow(*arrow) for arrow in CHAIN])
+    monkeypatch.setattr(algebra_module, "reachability", wrong)
+    with pytest.raises(InternalInvariantError, match="block row 0 disagrees with the closure"):
+        commuting_algebra(q)
+
+
 def test_a_reversed_component_order_is_not_block_upper_triangular(monkeypatch):
     order = algebra_module.topological_component_order
     monkeypatch.setattr(algebra_module, "topological_component_order",

@@ -1,12 +1,14 @@
 import copy
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from commalg import (
     Arrow,
+    CoefficientFunction,
     Path,
     Quiver,
     QuiverError,
@@ -44,6 +46,23 @@ def test_construction_validation():
         Quiver(["v"], [("a", "v", "v")], weights={"a": 0})
     with pytest.raises(QuiverError):
         Quiver(["v"], [("a", "v", "v")], weights={"b": 2})
+
+
+LOOP = (("a", "v", "v"),)
+
+
+@pytest.mark.parametrize("build", [
+    lambda weights: Quiver(["v"], LOOP, weights=weights),
+    lambda weights: CoefficientFunction(weights).check_arrows(Quiver(["v"], LOOP)),
+], ids=["quiver", "coefficients"])
+@pytest.mark.parametrize("weights, message", [
+    ({"a": 0}, "arrow 'a' has zero weight"),
+    ({"zz": 2}, "weight given for unknown arrow 'zz'"),
+    ({"a": 0.5}, "float scalar 0.5 is not exact"),
+], ids=["zero", "unknown", "float"])
+def test_weight_errors_keep_their_messages(build, weights, message):
+    with pytest.raises(QuiverError, match=f"^{re.escape(message)}$"):
+        build(weights)
 
 
 def test_undeclared_source_vertex_is_rejected():

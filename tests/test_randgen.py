@@ -1,8 +1,9 @@
 import random
+import tracemalloc
 
 import pytest
 
-from commalg import QuiverError
+from commalg import Arrow, QuiverError
 from commalg.randgen import (
     random_poset,
     random_quiver,
@@ -32,6 +33,33 @@ def test_random_sparse_quiver_no_duplicate_pairs():
         assert len(set(pairs)) == len(pairs)
     with pytest.raises(QuiverError):
         random_sparse_quiver(2, 5, 0)  # only 4 distinct pairs exist
+
+
+def _sparse_arrows_from_the_pair_list(n, k, seed):
+    # the reference route: sample the list of all n * n endpoint pairs
+    vertices = [f"v{i + 1}" for i in range(n)]
+    pairs = [(s, t) for s in vertices for t in vertices]
+    chosen = random.Random(seed).sample(pairs, k)
+    return tuple(Arrow(f"a{j + 1}", s, t) for j, (s, t) in enumerate(chosen))
+
+
+@pytest.mark.parametrize("n, k, seed", [(7, 20, 1), (300, 600, 300), (50, 2500, 3),
+                                        (2, 4, 0), (1, 1, 5), (9, 0, 2)])
+def test_random_sparse_quiver_draws_what_the_pair_list_draws(n, k, seed):
+    q = random_sparse_quiver(n, k, random.Random(seed))
+    assert q.arrows == _sparse_arrows_from_the_pair_list(n, k, seed)
+
+
+def test_random_sparse_quiver_memory_follows_the_arrows():
+    # the n * n = 4,000,000 endpoint pairs are never listed
+    tracemalloc.start()
+    try:
+        q = random_sparse_quiver(2000, 4000, random.Random(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(q.arrows) == 4000
+    assert peak < 16 * 2**20, peak
 
 
 @pytest.mark.parametrize(

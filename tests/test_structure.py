@@ -81,11 +81,6 @@ def test_pattern_validation():
 
 def test_pattern_reordered(two_block):
     pat = reachability(two_block)
-    rev = pat.reordered(tuple(reversed(two_block.vertices)))
-    assert rev.at("v1", "v6") == pat.at("v1", "v6")
-    assert rev.bitstrings()[0][5] == "0"  # v6 does not reach v1
-    with pytest.raises(QuiverError):
-        pat.reordered(("v1",))
     with pytest.raises(QuiverError):
         pat.at("zz", "v1")
 
@@ -146,7 +141,8 @@ def test_consistent_ordering_reorders():
     q = Quiver(["z", "y", "x"], [("a", "x", "y"), ("b", "y", "z")])
     order = consistent_ordering(q, path_components(q))
     assert order == ("x", "y", "z")
-    pat = reachability(q).reordered(order)
+    pat = commuting_algebra(q).pattern
+    assert pat.order == order
     # upper triangular in the consistent order
     for i in range(3):
         for j in range(i):
@@ -180,6 +176,19 @@ def test_condensation_invariants_random(seed):
     assert starts == sorted(starts)
     flat = [v for c in order for v in part.components[c]]
     assert list(vorder) == flat
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_the_algebra_and_consistent_ordering_agree(seed):
+    # two routes to the consistent order: the algebra's checked sweep over the
+    # condensation, and consistent_ordering over the components and pattern
+    rng = random.Random(seed)
+    q = random_quiver(rng.randint(1, 10), rng.randint(0, 18), rng)
+    alg, pat = commuting_algebra(q), reachability(q)
+    assert alg.order == consistent_ordering(q, path_components(q))
+    for v in q.vertices:
+        for w in q.vertices:
+            assert alg.pattern.at(v, w) == pat.at(v, w)
 
 
 def test_membership_covers_every_vertex(two_block):
