@@ -1,14 +1,14 @@
 """Projective resolutions over poset representations, and global dimension.
 
-A representation assigns a vector space over a field (QQ unless one is
-given) to each element and a map to each cover; one a user builds is
-checked, on its support, for composites independent of the route.  A
-minimal resolution builds none: each term is a sum of projectives, kept as
-its tops, and Hom(P_s, P_t) is K when t <= s, so each differential is a
-scalar matrix whose map at y is its columns at tops <= y, kept sparse for
-``reduce_columns`` on the up-set of the simple.  Each resolution is verified
-from its matrices and checked against the Mobius function; the global
-dimension, below the chain bound, depends on the field (3 over QQ, 4 over F_2 for RP^2).
+A representation assigns a vector space over a field (QQ unless one is given)
+to each element and a map to each cover; one a user builds is checked, on its
+support, for composites independent of the route.  A minimal resolution builds
+none: each term is a sum of projectives, kept as its tops, and Hom(P_s, P_t) is
+K when t <= s, so each differential is a scalar matrix whose map at y is its
+sparse columns at tops <= y, reduced only where a kernel lives and only when two
+or more.  Each resolution is verified from its matrices, d after d on sparse
+columns, and against the Mobius function; the global dimension, below the chain
+bound, depends on the field: 3 over QQ and 4 over F_2 for RP^2.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Mapping
 
 from .errors import InternalInvariantError, QuiverError
 from .fields import QQ
-from .linalg import Mat, reduce_columns
+from .linalg import Mat, _image, reduce_columns
 from .poset import Poset
 from .structure import _of_rows
 
@@ -243,27 +243,28 @@ class Resolution:
             raise InternalInvariantError("differentials do not fit the terms")
         if covers[:1] != ((x,),):
             raise InternalInvariantError(f"term 0 is not the projective cover of the simple at {x}")
-        field = self.differentials[0].field if self.differentials else QQ
         # d0 onto the simple: rank 1 at x; no rank where both terms vanish
-        ranks, at = {x: 1}, _below(poset, covers[0])
+        ranks, at, prev = {x: 1}, _below(poset, covers[0]), None
         for k, (phi, t, s) in enumerate(zip(self.differentials, covers, covers[1:]), 1):
-            for i, j in ((i, j) for i, row in enumerate(phi.rows) for j, a in enumerate(row) if a):
-                if not poset.rows[t[i]] >> s[j] & 1:
-                    raise InternalInvariantError(f"morphism d{k} does not commute at ({i}, {j})")
-                if t[i] == s[j]:
-                    raise InternalInvariantError(f"step {k} is not minimal at element {s[j]}")
-            if k > 1:  # d0 lives at x alone, where no entry of d1 survives the checks above
-                product = self.differentials[k - 2] @ phi  # a map out of P_s is fixed at s
-                for y in sorted(s[j] for j in range(len(s)) if any(r[j] for r in product.rows)):
-                    raise InternalInvariantError(f"d{k - 1} after d{k} is nonzero at {y}")
-            at_k = _below(poset, s)
-            columns = phi._columns()  # an entry of column j sits at a top below s_j
-            new_ranks = {y: len(reduce_columns({j: columns[j] for j in js}, field)[0])
-                         for y, js in at_k.items()}
+            columns = [{} for _ in s]  # read once, row-major, so a fault names its first entry
+            for i, row in enumerate(phi.rows):
+                for j, a in ((j, a) for j, a in enumerate(row) if a):
+                    if not poset.rows[t[i]] >> s[j] & 1:
+                        raise InternalInvariantError(f"morphism d{k} does not commute at {i, j}")
+                    if t[i] == s[j]:
+                        raise InternalInvariantError(f"step {k} is not minimal at element {s[j]}")
+                    columns[j][i] = a  # so an entry of column j sits at a top below s_j
+            # d0 lives at x alone, where no entry of d1 survives the checks above
+            for y in sorted(s[j] for j, col in enumerate(columns)  # a map out of P_s is fixed at s
+                            if prev and any(_image(prev, col).values())):
+                raise InternalInvariantError(f"d{k - 1} after d{k} is nonzero at {y}")
+            at_k = _below(poset, s)  # one column's rank is its truth value
+            new_ranks = {y: len(reduce_columns({j: columns[j] for j in js}, phi.field)[0])
+                         if js[1:] else int(bool(columns[js[0]])) for y, js in at_k.items()}
             for y in (y for y in sorted(at.keys() | at_k.keys())
                       if new_ranks.get(y, 0) != len(at.get(y, ())) - ranks.get(y, 0)):
                 raise InternalInvariantError(f"homology at step {k - 1}, element {y}")
-            ranks, at = new_ranks, at_k
+            ranks, at, prev = new_ranks, at_k, columns
         for y in (y for y in sorted(at) if ranks.get(y, 0) != len(at[y])):
             raise InternalInvariantError(f"resolution not finished at {y}")
 
@@ -286,13 +287,13 @@ def minimal_resolution(poset: Poset, x: str, field=QQ) -> Resolution:
     Running past longest_chain(poset) steps means the construction is broken."""
     xi = poset.position(x)
     tops, covers, differentials = (xi,), [(xi,)], []
-    # per element of the up-set, the kernel basis vectors as {coordinate of the term: entry}
-    kernels = {y: [{0: field.one}] if y != xi else [] for y in poset.up_sets[xi]}
+    # where the kernel is nonzero, ascending: its basis vectors as {coordinate of the term: entry}
+    kernels = {y: [{0: field.one}] for y in poset.up_sets[xi] if y != xi}
     for _ in range(poset.longest_chain()):
         n, tops, columns = len(tops), [], []
-        for y, kernel in kernels.items():  # the up-set, ascending
+        for y, kernel in kernels.items():
             rad = [col for z in poset.lower_covers[y] for col in kernels.get(z, ())]
-            if rad and kernel:
+            if rad:
                 pivots = reduce_columns(dict(enumerate(rad + kernel)), field)[0]
                 kernel = [kernel[c - len(rad)] for c in pivots if c >= len(rad)]
             tops += [y] * len(kernel)
@@ -302,10 +303,11 @@ def minimal_resolution(poset: Poset, x: str, field=QQ) -> Resolution:
         covers.append(tuple(tops))
         differentials.append(Mat._owning([[col.get(i, field.zero) for col in columns]
                                           for i in range(n)], len(columns), field))
-        # the map at y is the columns with tops <= y, whose entries already sit at tops <= y
+        # the map at y is the columns with tops <= y, whose entries already sit at tops <= y;
+        # tops lie only where a kernel was, and one column, a kernel vector, has no null vector
         at = _below(poset, tops)
-        kernels = {y: list(reduce_columns({j: columns[j] for j in at[y]}, field, True)[1].values())
-                   if y in at else [] for y in kernels}
+        kernels = {y: list(nulls.values()) for y in kernels if len(at.get(y, ())) > 1
+                   and (nulls := reduce_columns({j: columns[j] for j in at[y]}, field, True)[1])}
     raise InternalInvariantError(
         f"projective resolution of {x!r} exceeded the chain bound {poset.longest_chain()}")
 

@@ -1,12 +1,12 @@
 """Exact linear algebra over a coefficient field, on sparse columns.
 
-``reduce_columns`` is the one elimination: it reduces ``{row: scalar}``
-columns from the left into the pivot columns, the rank and the canonical
-null vectors, and ``Mat`` takes its rank, rref, null space and solutions
-from it.  Pivots are chosen by position, never by magnitude; an entry is
-zero by its truth value.  Rational entries stay ints until the one division,
-a pivot inverse by ``field.div``, leaves a remainder: a reduction whose
-pivots are all 1 or -1 builds no Fraction.
+``reduce_columns`` is the one elimination: it reduces ``{row: scalar}`` columns
+from the left into the pivot columns, the rank and the canonical null vectors,
+and ``Mat`` takes its rank, rref, null space and solutions from it; ``_image``,
+a matrix of such columns applied to one, is the one product.  Pivots are chosen
+by position, never by magnitude; an entry is zero by its truth value.  Rational
+entries stay ints until the one division, a pivot inverse by ``field.div``,
+leaves a remainder: a reduction whose pivots are all 1 or -1 builds no Fraction.
 """
 
 from __future__ import annotations
@@ -50,6 +50,15 @@ def reduce_columns(columns: Mapping, field=QQ, relations: bool = False) -> tuple
         kept[lead] = (r, rel)
         pivots.append(c)
     return pivots, nulls if relations else {}
+
+
+def _image(columns: Mapping, vector: Mapping) -> dict:
+    """``vector`` under the matrix of sparse ``columns``: the sum of vector[i] * columns[i]."""
+    out = {}
+    for i, a in vector.items():
+        for r, b in columns[i].items():
+            out[r] = out[r] + a * b if r in out else a * b
+    return out
 
 
 class Mat:
@@ -108,26 +117,15 @@ class Mat:
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows:
             raise InternalInvariantError("matmul shape mismatch")
-        out = Mat(self.nrows, other.ncols, field=self.field)
-        if not self.ncols:
-            return out
-        for row, acc in zip(self.rows, out.rows):
-            for x, other_row in zip(row, other.rows):
-                if not x:
-                    continue
-                for j, y in enumerate(other_row):
-                    if y:
-                        acc[j] = acc[j] + x * y if acc[j] else x * y
-        return out
+        left, zero = self._columns(), self.field.zero
+        out = [_image(left, col) for col in other._columns().values()]
+        return Mat._owning([[col.get(i, zero) for col in out] for i in range(self.nrows)],
+                           other.ncols, self.field)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat):
             return NotImplemented
-        return (
-            self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self.rows == other.rows
-        )
+        return (self.nrows, self.ncols, self.rows) == (other.nrows, other.ncols, other.rows)
 
     def __repr__(self) -> str:
         return f"Mat({self.nrows}x{self.ncols})"

@@ -159,6 +159,26 @@ def test_no_product_through_a_zero_space(monkeypatch, poset, gldim):
     assert empty == []
 
 
+@pytest.mark.parametrize("poset, dims", [
+    pytest.param(chain(6), (1, 1, 1, 1, 1, 0), id="chain6"),
+    pytest.param(rp2_face_poset(), (3,) * 7 + (2,) * 15 + (1,) * 10 + (0,), id="rp2")])
+def test_resolutions_eliminate_only_on_two_or_more_columns(monkeypatch, poset, dims):
+    # one column is a nonzero kernel vector: it has no null vector and rank 1, so
+    # neither the construction nor verify reduces it; on a chain every step has one
+    # top, and a null space at each element above it would take one column
+    import commalg.homology as homology
+
+    counts, real = [], homology.reduce_columns
+
+    def counting(columns, *args):
+        counts.append(len(columns))
+        return real(columns, *args)
+
+    monkeypatch.setattr(homology, "reduce_columns", counting)
+    assert homology.projective_dimensions(poset, QQ) == dims
+    assert counts and min(counts) >= 2
+
+
 SEEDED_POSETS = [pytest.param(rp2_face_poset(), id="rp2")] + [
     pytest.param(random_poset(m, 1000 * m + s, 0.3), id=f"random_poset_{m}_{s}")
     for m in (10, 14, 18) for s in range(2)
@@ -472,6 +492,33 @@ def test_resolution_verify_catches_a_map_that_does_not_commute():
     assert res.covers == ((1,), (2,))
     with pytest.raises(InternalInvariantError, match=r"morphism d1 does not commute at \(0, 0\)"):
         replace(res, covers=((1,), (0,))).verify()
+
+
+def test_resolution_verify_names_the_first_fault_row_by_row():
+    # b < a1 < c1 and b < a2 < c2: a d2 from (c1, c2) to (a1, a2) with entries at
+    # (0, 1) and (1, 0) commutes at neither; read row by row, (0, 1) comes first
+    p = Poset.from_pairs(["b", "a1", "a2", "c1", "c2"],
+                         [("b", "a1"), ("b", "a2"), ("a1", "c1"), ("a2", "c2")])
+    res = minimal_resolution(p, "b")
+    assert res.covers == ((0,), (1, 2))
+    tampered = replace(res, covers=res.covers + ((3, 4),),
+                       differentials=res.differentials + (Mat(2, 2, [[0, 1], [1, 0]]),))
+    with pytest.raises(InternalInvariantError, match=r"morphism d2 does not commute at \(0, 1\)"):
+        tampered.verify()
+
+
+def test_resolution_verify_names_the_least_top_of_a_nonzero_composite():
+    # every a below every c: d1 after d2 is nonzero on both columns of the
+    # tampered d2, whose tops are c2 then c1, and the lesser top, c1 = 3, is named
+    p = Poset.from_pairs(["b", "a1", "a2", "c1", "c2"],
+                         [("b", "a1"), ("b", "a2")] + [(a, c) for a in ("a1", "a2")
+                                                       for c in ("c1", "c2")])
+    res = minimal_resolution(p, "b")
+    assert res.covers == ((0,), (1, 2), (3, 4))
+    tampered = replace(res, covers=res.covers[:2] + ((4, 3),),
+                       differentials=res.differentials[:1] + (Mat(2, 2, [[1, 1], [0, 0]]),))
+    with pytest.raises(InternalInvariantError, match="d1 after d2 is nonzero at 3"):
+        tampered.verify()
 
 
 def test_verify_is_not_confined_to_the_up_set_of_the_simple():
