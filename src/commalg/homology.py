@@ -6,16 +6,17 @@ support, for composites independent of the route.  A minimal resolution builds
 none: each term is a sum of projectives, kept as its tops, and Hom(P_s, P_t) is
 K when t <= s, so each differential is a scalar matrix whose map at y is its
 sparse columns at tops <= y, reduced only where a kernel lives and only when two
-or more.  Each resolution is verified from its matrices, d after d on sparse
-columns, and against the Mobius function; the global dimension, below the chain
-bound, depends on the field: 3 over QQ and 4 over F_2 for RP^2.
+or more; those columns are stored as the differential's ``Mat``.  Each
+resolution is verified from those columns, d after d, and against the Mobius
+function; the global dimension, below the chain bound, depends on the field: 3
+over QQ and 4 over F_2 for RP^2.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Mapping
 
 from .errors import InternalInvariantError, QuiverError
@@ -99,8 +100,8 @@ class PosetRepresentation:
 
     def radical_generators(self, j: int) -> Mat:
         """Columns spanning the radical at j: images of the cover maps into j."""
-        blocks = (self.maps[(y, j)] for y in self.poset.lower_covers[j] if self.dims[y])
-        return reduce(Mat.hstack, blocks, Mat(self.dims[j], 0, field=self.field))
+        return Mat._of_columns([col for y in self.poset.lower_covers[j]
+                                for col in self.maps[(y, j)].columns], self.dims[j], self.field)
 
 
 @dataclass(frozen=True)
@@ -148,10 +149,10 @@ class RepMorphism:
 def _projective_sum(poset: Poset, tops: list[int], field=QQ) -> PosetRepresentation:
     """Direct sum of the projectives at the element indices ``tops``, repeats
     allowed; each cover map is the 0/1 inclusion of summands."""
-    below, one, zero = _below(poset, tops), field.one, field.zero
+    below = _below(poset, tops)
     at = [below.get(y, []) for y in range(len(poset))]
-    maps = {(i, j): Mat._owning([[one if k == c else zero for c in at[i]] for k in at[j]],
-                                len(at[i]), field) for i, j in poset.covers}
+    maps = {(i, j): Mat._of_columns([{at[j].index(k): field.one} for k in at[i]], len(at[j]), field)
+            for i, j in poset.covers}
     return _of_rows(PosetRepresentation, poset=poset, dims=tuple(map(len, at)), maps=maps,
                     field=field)
 
@@ -193,17 +194,15 @@ def projective_cover(rep: PosetRepresentation) -> ProjectiveCover:
     for x, d in enumerate(rep.dims):
         if d == 0:
             continue
-        rad = rep.radical_generators(x)
+        rad = rep.radical_generators(x).columns
         # e_c is chosen iff it lies outside span(radical, e_0 .. e_{c-1})
-        _, pivots = rad.hstack(Mat.identity(d, rep.field)).rref()
-        summands += [(x, c - rad.ncols) for c in pivots if c >= rad.ncols]
+        units = [{c: rep.field.one} for c in range(d)]
+        pivots = reduce_columns(dict(enumerate(rad + units)), rep.field)[0]
+        summands += [(x, c - len(rad)) for c in pivots if c >= len(rad)]
     cover_rep = _projective_sum(poset, [x for x, _ in summands], rep.field)
-    blocks = tuple(
-        Mat.from_columns([rep.composite(x, y).column(c) for x, c in summands
-                          if poset.rows[x] >> y & 1], d, rep.field)
-        if d else Mat(0, n, field=rep.field)
-        for y, (d, n) in enumerate(zip(rep.dims, cover_rep.dims))
-    )
+    blocks = tuple(Mat._of_columns([rep.composite(x, y).columns[c] for x, c in summands
+                                    if poset.rows[x] >> y & 1], d, rep.field)
+                   for y, d in enumerate(rep.dims))
     surj = RepMorphism(cover_rep, rep, blocks)
     if not surj.is_surjective():
         raise InternalInvariantError("projective cover fails to surject")
@@ -246,14 +245,14 @@ class Resolution:
         # d0 onto the simple: rank 1 at x; no rank where both terms vanish
         ranks, at, prev = {x: 1}, _below(poset, covers[0]), None
         for k, (phi, t, s) in enumerate(zip(self.differentials, covers, covers[1:]), 1):
-            columns = [{} for _ in s]  # read once, row-major, so a fault names its first entry
-            for i, row in enumerate(phi.rows):
-                for j, a in ((j, a) for j, a in enumerate(row) if a):
-                    if not poset.rows[t[i]] >> s[j] & 1:
-                        raise InternalInvariantError(f"morphism d{k} does not commute at {i, j}")
-                    if t[i] == s[j]:
-                        raise InternalInvariantError(f"step {k} is not minimal at element {s[j]}")
-                    columns[j][i] = a  # so an entry of column j sits at a top below s_j
+            columns = phi.columns  # an entry of column j must sit at a top strictly below s_j
+            faults = [(i, j) for j, col in enumerate(columns) for i in col
+                      if t[i] == s[j] or not poset.rows[t[i]] >> s[j] & 1]
+            if faults:
+                i, j = min(faults)  # the first in row-major order
+                if t[i] == s[j]:
+                    raise InternalInvariantError(f"step {k} is not minimal at element {s[j]}")
+                raise InternalInvariantError(f"morphism d{k} does not commute at {i, j}")
             # d0 lives at x alone, where no entry of d1 survives the checks above
             for y in sorted(s[j] for j, col in enumerate(columns)  # a map out of P_s is fixed at s
                             if prev and any(_image(prev, col).values())):
@@ -301,8 +300,7 @@ def minimal_resolution(poset: Poset, x: str, field=QQ) -> Resolution:
         if not tops:
             return Resolution(poset, xi, tuple(covers), tuple(differentials))
         covers.append(tuple(tops))
-        differentials.append(Mat._owning([[col.get(i, field.zero) for col in columns]
-                                          for i in range(n)], len(columns), field))
+        differentials.append(Mat._of_columns(columns, n, field))
         # the map at y is the columns with tops <= y, whose entries already sit at tops <= y;
         # tops lie only where a kernel was, and one column, a kernel vector, has no null vector
         at = _below(poset, tops)

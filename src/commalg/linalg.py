@@ -1,9 +1,10 @@
 """Exact linear algebra over a coefficient field, on sparse columns.
 
 ``reduce_columns`` is the one elimination: it reduces ``{row: scalar}`` columns
-from the left into the pivot columns, the rank and the canonical null vectors,
-and ``Mat`` takes its rank, rref, null space and solutions from it; ``_image``,
-a matrix of such columns applied to one, is the one product.  Pivots are chosen
+from the left into the pivot columns, the rank and the canonical null vectors.
+``Mat`` stores such columns and takes its rank, rref, null space and solutions
+from it; ``_image``, a matrix of such columns applied to one, is the one
+product, and no operation builds a dense row.  Pivots are chosen
 by position, never by magnitude; an entry is zero by its truth value.  Rational
 entries stay ints until the one division, a pivot inverse by ``field.div``,
 leaves a remainder: a reduction whose pivots are all 1 or -1 builds no Fraction.
@@ -62,100 +63,95 @@ def _image(columns: Mapping, vector: Mapping) -> dict:
 
 
 class Mat:
-    """An nrows x ncols matrix acting on column vectors."""
+    """An nrows x ncols matrix acting on column vectors, stored as its sparse columns
+    {row: scalar}, zero-free and in ascending row order.  ``rows`` is a dense copy
+    built when read, so writing to it leaves the matrix as it was."""
 
-    __slots__ = ("nrows", "ncols", "rows", "field")
+    __slots__ = ("nrows", "ncols", "columns", "field")
 
     def __init__(self, nrows: int, ncols: int, rows=None, field=QQ):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.field = field
-        if rows is None:
-            self.rows = [[field.zero] * ncols for _ in range(nrows)]
-        else:
-            rows = [list(r) for r in rows]
-            if len(rows) != nrows or any(len(r) != ncols for r in rows):
-                raise InternalInvariantError("matrix shape mismatch")
-            self.rows = [[field.element(x) for x in r] for r in rows]
+        rows = None if rows is None else [list(r) for r in rows]
+        if min(nrows, ncols) < 0 or rows is not None and (
+                len(rows) != nrows or any(len(r) != ncols for r in rows)):
+            raise InternalInvariantError("matrix shape mismatch")
+        self.nrows, self.ncols, self.field = nrows, ncols, field
+        self.columns = [{i: x for i, r in enumerate(rows or ()) if (x := field.element(r[j]))}
+                        for j in range(ncols)]
 
     @classmethod
-    def _owning(cls, rows: list[list], ncols: int, field) -> "Mat":
-        """A matrix over rows this module built from elements of ``field``."""
+    def _of_columns(cls, columns: Sequence[Mapping], nrows: int, field) -> "Mat":
+        """The matrix over sparse ``columns`` of field elements, kept zero-free by ascending row."""
+        if nrows < 0:
+            raise InternalInvariantError("matrix shape mismatch")
         out = cls.__new__(cls)
-        out.nrows, out.ncols, out.rows, out.field = len(rows), ncols, rows, field
+        out.nrows, out.ncols, out.field = nrows, len(columns), field
+        out.columns = [{i: col[i] for i in sorted(col) if col[i]} for col in columns]
         return out
 
     @classmethod
     def identity(cls, n: int, field=QQ) -> "Mat":
-        one, zero = field.one, field.zero
-        return cls._owning([[one if i == j else zero for j in range(n)] for i in range(n)], n, field)
+        return cls._of_columns([{j: field.one} for j in range(n)], n, field)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], nrows: int, field=QQ) -> "Mat":
-        out = cls(nrows, len(columns), field=field)
-        for j, col in enumerate(columns):
-            if len(col) != nrows:
-                raise InternalInvariantError("column length mismatch")
-            for i, x in enumerate(col):
-                out.rows[i][j] = field.element(x)
-        return out
+        if any(len(col) != nrows for col in columns):
+            raise InternalInvariantError("column length mismatch")
+        return cls._of_columns([{i: field.element(x) for i, x in enumerate(col)}
+                                for col in columns], nrows, field)
+
+    @property
+    def rows(self) -> list[list]:
+        zero = self.field.zero
+        return [[col.get(i, zero) for col in self.columns] for i in range(self.nrows)]
 
     def column(self, j: int) -> list:
-        return [self.rows[i][j] for i in range(self.nrows)]
+        return [self.columns[j].get(i, self.field.zero) for i in range(self.nrows)]
 
     def take_rows(self, indices: Sequence[int]) -> "Mat":
-        return Mat._owning([list(self.rows[i]) for i in indices], self.ncols, self.field)
+        return Mat._of_columns([{k: col[i] for k, i in enumerate(indices) if i in col}
+                                for col in self.columns], len(indices), self.field)
 
     def hstack(self, other: "Mat") -> "Mat":
         if other.nrows != self.nrows:
             raise InternalInvariantError("hstack with differing row counts")
-        rows = [a + b for a, b in zip(self.rows, other.rows)]
-        if other.field != self.field:
-            return Mat(self.nrows, self.ncols + other.ncols, rows, field=self.field)
-        return Mat._owning(rows, self.ncols + other.ncols, self.field)
+        field = self.field
+        right = other.columns if other.field == field else [
+            {i: field.element(x) for i, x in col.items()} for col in other.columns]
+        return Mat._of_columns(self.columns + right, self.nrows, field)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows:
             raise InternalInvariantError("matmul shape mismatch")
-        left, zero = self._columns(), self.field.zero
-        out = [_image(left, col) for col in other._columns().values()]
-        return Mat._owning([[col.get(i, zero) for col in out] for i in range(self.nrows)],
-                           other.ncols, self.field)
+        return Mat._of_columns([_image(self.columns, col) for col in other.columns],
+                               self.nrows, self.field)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat):
             return NotImplemented
-        return (self.nrows, self.ncols, self.rows) == (other.nrows, other.ncols, other.rows)
+        return (self.nrows, self.ncols, self.columns) == (other.nrows, other.ncols, other.columns)
 
     def __repr__(self) -> str:
         return f"Mat({self.nrows}x{self.ncols})"
 
     def is_zero(self) -> bool:
-        return not any(map(any, self.rows))
-
-    def _columns(self) -> dict[int, dict]:
-        return {c: {i: r[c] for i, r in enumerate(self.rows) if r[c]} for c in range(self.ncols)}
+        return not any(self.columns)
 
     def rank(self) -> int:
-        return len(reduce_columns(self._columns(), self.field)[0])
+        return len(reduce_columns(dict(enumerate(self.columns)), self.field)[0])
 
     def rref(self) -> tuple["Mat", tuple[int, ...]]:
         """Row r holds each column's coordinate on pivot column r."""
-        pivots, nulls = reduce_columns(self._columns(), self.field, relations=True)
-        out = Mat(self.nrows, self.ncols, field=self.field)
-        for row, p in zip(out.rows, pivots):
-            row[p] = self.field.one
-            for c, rel in nulls.items():
-                if p in rel:
-                    row[c] = -rel[p]
-        return out, tuple(pivots)
+        pivots, nulls = reduce_columns(dict(enumerate(self.columns)), self.field, relations=True)
+        at = {p: r for r, p in enumerate(pivots)}
+        columns = [{at[p]: -x for p, x in nulls[c].items() if p != c} if c in nulls
+                   else {at[c]: self.field.one} for c in range(self.ncols)]
+        return Mat._of_columns(columns, self.nrows, self.field), tuple(pivots)
 
     def null_space(self) -> tuple["Mat", tuple[int, ...]]:
         """Null-space basis columns and the free columns of the rref; the basis
         is the identity on the free rows, which hold a null vector's coordinates."""
-        nulls = reduce_columns(self._columns(), self.field, relations=True)[1]
-        rows = [[rel.get(i, self.field.zero) for rel in nulls.values()] for i in range(self.ncols)]
-        return Mat._owning(rows, len(nulls), self.field), tuple(nulls)
+        nulls = reduce_columns(dict(enumerate(self.columns)), self.field, relations=True)[1]
+        return Mat._of_columns(list(nulls.values()), self.ncols, self.field), tuple(nulls)
 
     def solve(self, rhs: "Mat") -> "Mat":
         """X with self @ X = rhs; raises if the system is inconsistent."""
@@ -164,7 +160,5 @@ class Mat:
         red, pivots = self.hstack(rhs).rref()
         if pivots and pivots[-1] >= self.ncols:
             raise InternalInvariantError("inconsistent linear system")
-        out = Mat(self.ncols, rhs.ncols, field=self.field)
-        for r, p in enumerate(pivots):
-            out.rows[p] = red.rows[r][self.ncols:]
-        return out
+        return Mat._of_columns([{pivots[r]: x for r, x in col.items()}
+                                for col in red.columns[self.ncols:]], self.ncols, self.field)

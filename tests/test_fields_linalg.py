@@ -80,6 +80,11 @@ def test_mat_basics():
         Mat(2, 2, [[1, 2]])
     with pytest.raises(InternalInvariantError):
         m @ m
+    # a negative shape is refused wherever one enters
+    for build in (lambda: Mat(-1, 2), lambda: Mat(2, -3), lambda: Mat.identity(-2),
+                  lambda: Mat.from_columns([], -1)):
+        with pytest.raises(InternalInvariantError, match="matrix shape mismatch"):
+            build()
 
 
 def test_mat_rank_known():
@@ -192,8 +197,23 @@ def test_empty_inner_product_and_mixed_field_hstack():
 
 
 def test_from_columns_roundtrip():
-    m = Mat(3, 2, [[1, 2], [3, 4], [5, 6]])
-    assert Mat.from_columns([m.column(j) for j in range(m.ncols)], 3) == m
+    f5 = PrimeField(5)
+    for field, nrows, ncols, rows in [
+        (QQ, 3, 2, [[1, 2], [3, 4], [5, 6]]),
+        # zeros, read into the field, are not stored: 5 and 10 are 0 in F_5
+        (QQ, 3, 3, [[0, 2, 0], [Fraction(1, 2), 0, 0], [0, -1, 0]]),
+        (f5, 3, 3, [[0, 5, 1], [2, 0, 10], [0, 4, 0]]),
+        (QQ, 0, 3, []), (f5, 0, 3, []), (QQ, 3, 0, [[], [], []]), (f5, 3, 0, [[], [], []]),
+    ]:
+        m = Mat(nrows, ncols, rows, field)
+        dense = [[field.element(x) for x in row] for row in rows]
+        # the sparse columns hold no zero, in ascending row order, and read back as the rows
+        assert all(all(col.values()) and list(col) == sorted(col) for col in m.columns)
+        assert m.rows == dense
+        assert [m.column(j) for j in range(ncols)] == [[row[j] for row in dense]
+                                                       for j in range(ncols)]
+        assert Mat.from_columns([m.column(j) for j in range(ncols)], nrows, field) == m
+        assert (m == Mat(nrows, ncols, field=field)) == (not any(map(any, dense)))
     with pytest.raises(InternalInvariantError):
         Mat.from_columns([[1, 2]], 3)
 

@@ -167,9 +167,11 @@ def _no_floats(rows):
 @given(raw_matrices())
 def test_linalg_over_mixed_scalars_matches_all_fractions(drawn):
     rows, ncols = drawn
-    # _owning keeps the entries as drawn: nothing is normalized on either side
-    mixed = Mat._owning([list(r) for r in rows], ncols, QQ)
-    reference = Mat._owning([[Fraction(x) for x in r] for r in rows], ncols, QQ)
+    # _of_columns keeps the nonzero entries as drawn: nothing is normalized on either side
+    mixed = Mat._of_columns([{i: r[j] for i, r in enumerate(rows)} for j in range(ncols)],
+                            len(rows), QQ)
+    reference = Mat._of_columns([{i: Fraction(r[j]) for i, r in enumerate(rows)}
+                                 for j in range(ncols)], len(rows), QQ)
     assert mixed.rank() == reference.rank()
     red, pivots = mixed.rref()
     ref_red, ref_pivots = reference.rref()
