@@ -5,11 +5,12 @@ to each element and a map to each cover; one a user builds is checked, on its
 support, for composites independent of the route.  A minimal resolution builds
 none: each term is a sum of projectives, kept as its tops, and Hom(P_s, P_t) is
 K when t <= s, so each differential is a scalar matrix whose map at y is its
-sparse columns at tops <= y, reduced only where a kernel lives and only when two
-or more; those columns are stored as the differential's ``Mat``.  Each
-resolution is verified from those columns, d after d, and against the Mobius
-function; the global dimension, below the chain bound, depends on the field: 3
-over QQ and 4 over F_2 for RP^2.
+sparse columns at tops <= y, reduced where a kernel lives on two or more, once
+per step for all elements with those tops; they are stored as the differential's
+``Mat``.  No generator is selected where a lower cover's kernel, independent and
+in the radical, has the kernel's size.  Each resolution is verified from those
+columns with ranks of its own, d after d, and against the Mobius function; the
+global dimension, below the chain bound, is 3 over QQ and 4 over F_2 for RP^2.
 """
 
 from __future__ import annotations
@@ -235,7 +236,8 @@ class Resolution:
 
     def verify(self) -> None:
         """Recheck the resolution from its matrices, by ranks at each element where a term is
-        nonzero: elsewhere every check reads 0 == 0 - 0."""
+        nonzero: elsewhere every check reads 0 == 0 - 0.  A step ranks each set of columns
+        once, in a memo of its own: nothing the construction reduced is read here."""
         poset, covers, x = self.poset, self.covers, self.simple
         if [(len(t), len(s)) for t, s in zip(covers, covers[1:])] != [
                 (phi.nrows, phi.ncols) for phi in self.differentials]:
@@ -257,8 +259,8 @@ class Resolution:
             for y in sorted(s[j] for j, col in enumerate(columns)  # a map out of P_s is fixed at s
                             if prev and any(_image(prev, col).values())):
                 raise InternalInvariantError(f"d{k - 1} after d{k} is nonzero at {y}")
-            at_k = _below(poset, s)  # one column's rank is its truth value
-            new_ranks = {y: len(reduce_columns({j: columns[j] for j in js}, phi.field)[0])
+            at_k, memo = _below(poset, s), {}  # one column's rank is its truth value
+            new_ranks = {y: len(_reduce_once(memo, columns, js, phi.field)[0])
                          if js[1:] else int(bool(columns[js[0]])) for y, js in at_k.items()}
             for y in (y for y in sorted(at.keys() | at_k.keys())
                       if new_ranks.get(y, 0) != len(at.get(y, ())) - ranks.get(y, 0)):
@@ -266,6 +268,14 @@ class Resolution:
             ranks, at, prev = new_ranks, at_k, columns
         for y in (y for y in sorted(at) if ranks.get(y, 0) != len(at[y])):
             raise InternalInvariantError(f"resolution not finished at {y}")
+
+
+def _reduce_once(memo: dict, columns, labels, field, relations: bool = False):
+    """``reduce_columns`` of the ``columns`` at ``labels``, run once per label tuple of ``memo``."""
+    key = tuple(labels)
+    if key not in memo:
+        memo[key] = reduce_columns({j: columns[j] for j in key}, field, relations)
+    return memo[key]
 
 
 def _below(poset: Poset, tops) -> dict[int, list[int]]:
@@ -282,7 +292,9 @@ def minimal_resolution(poset: Poset, x: str, field=QQ) -> Resolution:
 
     Term 0 is P_x, with kernel P_x above x.  A kernel vector at y is a
     generator when it lies outside the span of the kernels at the lower
-    covers and the vectors before it, the rule of ``projective_cover``.
+    covers and the vectors before it, the rule of ``projective_cover``; y has
+    none when a lower cover's kernel has the size of y's.  Elements with the
+    same tops below them share one null space per step.
     Running past longest_chain(poset) steps means the construction is broken."""
     xi = poset.position(x)
     tops, covers, differentials = (xi,), [(xi,)], []
@@ -291,7 +303,10 @@ def minimal_resolution(poset: Poset, x: str, field=QQ) -> Resolution:
     for _ in range(poset.longest_chain()):
         n, tops, columns = len(tops), [], []
         for y, kernel in kernels.items():
-            rad = [col for z in poset.lower_covers[y] for col in kernels.get(z, ())]
+            lower = [kernels[z] for z in poset.lower_covers[y] if z in kernels]
+            if any(len(k) == len(kernel) for k in lower):
+                continue  # an independent kernel inside radical(y) spans kernel(y)
+            rad = [col for k in lower for col in k]
             if rad:
                 pivots = reduce_columns(dict(enumerate(rad + kernel)), field)[0]
                 kernel = [kernel[c - len(rad)] for c in pivots if c >= len(rad)]
@@ -303,9 +318,9 @@ def minimal_resolution(poset: Poset, x: str, field=QQ) -> Resolution:
         differentials.append(Mat._of_columns(columns, n, field))
         # the map at y is the columns with tops <= y, whose entries already sit at tops <= y;
         # tops lie only where a kernel was, and one column, a kernel vector, has no null vector
-        at = _below(poset, tops)
+        at, memo = _below(poset, tops), {}
         kernels = {y: list(nulls.values()) for y in kernels if len(at.get(y, ())) > 1
-                   and (nulls := reduce_columns({j: columns[j] for j in at[y]}, field, True)[1])}
+                   and (nulls := _reduce_once(memo, columns, at[y], field, True)[1])}
     raise InternalInvariantError(
         f"projective resolution of {x!r} exceeded the chain bound {poset.longest_chain()}")
 

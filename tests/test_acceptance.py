@@ -12,7 +12,9 @@ import time
 from fractions import Fraction
 
 from commalg import (
+    QQ,
     GeneralCoefficientTable,
+    PrimeField,
     commuting_algebra,
     end_hom_dims,
     global_dimension,
@@ -30,6 +32,7 @@ from commalg import (
 from commalg.poset import Poset, hasse_quiver
 from commalg.quiver import Quiver, enumerate_paths
 from commalg.randgen import (
+    random_poset,
     random_quiver,
     random_sparse_quiver,
     random_tree_quiver,
@@ -408,3 +411,15 @@ def test_criterion_13_morita_check_is_linear_at_600_vertices():
     assert iso.products_checked == iso.incidence.dimension + n
     assert elapsed < 2.0
     _report(13, f"Morita check at n = {n}, {iso.products_checked} products ({elapsed:.3f}s)")
+
+
+def test_criterion_14_global_dimension_at_400_elements():
+    # a step's elements with the same tops below them share one reduction, and an
+    # element whose lower cover's kernel has its kernel's size selects no generator
+    for m, field, gldim, bound in ((400, QQ, 22, 6.0), (200, PrimeField(2), 13, 2.0)):
+        poset = random_poset(m, 1000 * m, 0.3)
+        start = time.perf_counter()
+        assert global_dimension(poset, field) == gldim
+        elapsed = time.perf_counter() - start
+        assert elapsed < bound
+        _report(14, f"global dimension {gldim} at m = {m} over {field} ({elapsed:.3f}s)")

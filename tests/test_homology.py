@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import pickle
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -160,13 +161,14 @@ def test_no_product_through_a_zero_space(monkeypatch, poset, gldim):
     assert empty == []
 
 
-@pytest.mark.parametrize("poset, dims", [
-    pytest.param(chain(6), (1, 1, 1, 1, 1, 0), id="chain6"),
-    pytest.param(rp2_face_poset(), (3,) * 7 + (2,) * 15 + (1,) * 10 + (0,), id="rp2")])
-def test_resolutions_eliminate_only_on_two_or_more_columns(monkeypatch, poset, dims):
+@pytest.mark.parametrize("poset, dims, reduces", [
+    pytest.param(chain(6), (1, 1, 1, 1, 1, 0), False, id="chain6"),
+    pytest.param(rp2_face_poset(), (3,) * 7 + (2,) * 15 + (1,) * 10 + (0,), True, id="rp2")])
+def test_resolutions_eliminate_only_on_two_or_more_columns(monkeypatch, poset, dims, reduces):
     # one column is a nonzero kernel vector: it has no null vector and rank 1, so
     # neither the construction nor verify reduces it; on a chain every step has one
-    # top, and a null space at each element above it would take one column
+    # top, a null space at each element above it would take one column, and above
+    # the top its lower cover's kernel has the same size, so nothing is reduced
     import commalg.homology as homology
 
     counts, real = [], homology.reduce_columns
@@ -177,7 +179,10 @@ def test_resolutions_eliminate_only_on_two_or_more_columns(monkeypatch, poset, d
 
     monkeypatch.setattr(homology, "reduce_columns", counting)
     assert homology.projective_dimensions(poset, QQ) == dims
-    assert counts and min(counts) >= 2
+    if reduces:
+        assert counts and min(counts) >= 2
+    else:
+        assert counts == []
 
 
 SEEDED_POSETS = [pytest.param(rp2_face_poset(), id="rp2")] + [
@@ -259,6 +264,84 @@ def test_resolutions_build_and_read_no_dense_row(monkeypatch, poset, field, gldi
 
     monkeypatch.setattr(Mat, "rows", property(refuse))
     assert global_dimension(poset, field) == gldim
+
+
+def _read(columns):
+    """A reduction's input as it reads: each label with its column's entries by row."""
+    return tuple((j, tuple(sorted(col.items()))) for j, col in columns.items())
+
+
+@pytest.mark.parametrize("poset", SEEDED_POSETS)
+def test_resolutions_reduce_each_label_set_once_per_step(monkeypatch, poset):
+    # the reference walks each resolution's own differentials: per step, the null spaces
+    # and verify's ranks reduce each set of two or more labels at an element once, and
+    # generator selection runs at y only with a radical and no lower cover whose kernel
+    # has the size of y's, since that kernel, independent and in the radical, spans y's
+    import commalg.homology as homology
+
+    real, calls = homology.reduce_columns, []
+
+    def recording(columns, field, relations=False):
+        calls.append((relations, _read(columns)))
+        return real(columns, field, relations)
+
+    monkeypatch.setattr(homology, "reduce_columns", recording)
+    for x in poset.elements:
+        del calls[:]
+        res = minimal_resolution(poset, x)
+        built = Counter(calls)
+        del calls[:]
+        res.verify()
+        checked = Counter(calls)
+        selected, nulls, ranks = Counter(), Counter(), Counter()
+        kernels = {y: [{0: QQ.one}] for y in poset.up_sets[res.simple] if y != res.simple}
+        for k in range(1, len(res.covers) + 1):
+            for y, kernel in kernels.items():
+                lower = [kernels[z] for z in poset.lower_covers[y] if z in kernels]
+                if lower and all(len(kz) != len(kernel) for kz in lower):
+                    selected[(False, _read(dict(enumerate(sum(lower, []) + kernel))))] += 1
+            if k == len(res.covers):
+                break
+            columns = res.differentials[k - 1].columns
+            at = {y: {j: columns[j] for j in js}
+                  for y, js in _below(poset, res.covers[k]).items() if js[1:]}
+            for cols in {tuple(cols): cols for cols in at.values()}.values():  # one per label set
+                nulls[(True, _read(cols))] += 1
+                ranks[(False, _read(cols))] += 1
+            kernels = {y: list(vs.values()) for y, cols in at.items()
+                       if (vs := real(cols, QQ, True)[1])}
+        assert not kernels  # the last step left nothing to cover
+        assert built == selected + nulls
+        assert checked == ranks
+
+
+def _rank(columns, labels, phi):
+    return Mat._of_columns([columns[j] for j in labels], phi.nrows, phi.field).rank()
+
+
+def test_verify_ranks_the_columns_it_is_given():
+    # verify keeps its own ranks: once a resolution is built, a column of d_k zeroed, or
+    # set to an earlier column at the same top, drops the rank at that top, and the least
+    # element whose rank dropped is named, also where the construction reduced its labels
+    shared = 0
+    for poset in (param.values[0] for param in SEEDED_POSETS):
+        for x in poset.elements:
+            res = minimal_resolution(poset, x)
+            for k, phi in enumerate(res.differentials, 1):
+                at, tops = _below(poset, res.covers[k]), res.covers[k]
+                for j, i in [(j, None) for j in range(phi.ncols)] + [
+                        (j, tops.index(t)) for j, t in enumerate(tops) if tops.index(t) < j]:
+                    cols = list(phi.columns)
+                    cols[j] = {} if i is None else cols[i]
+                    tampered = replace(res, differentials=res.differentials[:k - 1] + (
+                        Mat._of_columns(cols, phi.nrows, phi.field),) + res.differentials[k:])
+                    y = min(y for y, js in at.items()
+                            if _rank(cols, js, phi) < _rank(phi.columns, js, phi))
+                    shared += len(at[y]) > 1
+                    with pytest.raises(InternalInvariantError,
+                                       match=f"^homology at step {k - 1}, element {y}$"):
+                        tampered.verify()
+    assert shared
 
 
 def test_steps_past_the_cover_build_no_morphism(monkeypatch):
