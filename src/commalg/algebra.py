@@ -10,20 +10,17 @@ algebra and verifies its block structure.
 
 from __future__ import annotations
 
-import copy
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from numbers import Rational
-from typing import Mapping
 
-from .errors import InternalInvariantError, QuiverError
+from .errors import InternalInvariantError, QuiverError, _Record, _of_rows
 from .fields import QQ
 from .quiver import Path, Quiver, _exact_weights, compose
-from .structure import (ReachabilityPattern, _matrix, _of_rows, reachability,
-                        topological_component_order)
+from .structure import ReachabilityPattern, _matrix, reachability, topological_component_order
 
 __all__ = [
     "CoefficientFunction",
@@ -37,8 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CoefficientFunction:
+class CoefficientFunction(_Record):
     """Multiplicative path weights: f(path) is the product of its arrow weights.
 
     Vertices (length-zero paths) get 1.  Every weight must be nonzero.
@@ -47,7 +43,7 @@ class CoefficientFunction:
     weights: Mapping[str, Rational]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", _exact_weights(self.weights))
+        self.__dict__["weights"] = _exact_weights(self.weights)
 
     def check_arrows(self, quiver: Quiver) -> None:
         """Raise QuiverError if a weight names an arrow ``quiver`` lacks."""
@@ -133,9 +129,7 @@ class CommutingAlgebra:
 
     def over(self, field) -> "CommutingAlgebra":
         """The same algebra with scalars in ``field``; nothing is recomputed."""
-        out = copy.copy(self)
-        out.field = field
-        return out
+        return _of_rows(type(self), **{**vars(self), "field": field})
 
     def position(self, v: str) -> int:
         try:
@@ -205,12 +199,14 @@ class CommutingAlgebra:
         )
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
+class AlgebraElement(_Record):
     """Sparse element; keys are positions in the algebra's vertex order."""
 
     algebra: CommutingAlgebra
     entries: Mapping[tuple[int, int], object]
+
+    def __init__(self, algebra, entries):
+        self.__dict__.update(algebra=algebra, entries=entries)
 
     @cached_property
     def _by_row(self) -> dict[int, list[tuple[int, object]]]:
@@ -263,8 +259,7 @@ def commuting_algebra(quiver: Quiver, field=QQ) -> CommutingAlgebra:
     return CommutingAlgebra(quiver, field)
 
 
-@dataclass(frozen=True)
-class NormalizedBasisEntry:
+class NormalizedBasisEntry(_Record):
     """Change-of-basis record: unit(source, target) = scale * class(path)."""
 
     source: str
@@ -273,8 +268,7 @@ class NormalizedBasisEntry:
     scale: Fraction
 
 
-@dataclass(frozen=True)
-class QuasiCommutingAlgebra:
+class QuasiCommutingAlgebra(_Record):
     """A commuting algebra twisted by coefficients, plus the untwisting.
 
     Multiplicative coefficients never change the algebra: rescaling each

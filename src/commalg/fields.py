@@ -7,16 +7,14 @@ division of field scalars goes through ``field.div``. A rational is a plain
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import QuiverError
+from .errors import QuiverError, _Record
 
 __all__ = ["RationalField", "PrimeField", "PrimeFieldElement", "QQ", "parse_field"]
 
 
-@dataclass(frozen=True)
-class RationalField:
+class RationalField(_Record):
     """Exact rational scalars: an ``int`` when integral, else a ``Fraction``.
 
     Sums and products are left as Python computes them (``int * Fraction``
@@ -49,6 +47,12 @@ class RationalField:
             return Fraction(a, b) if r else q
         return self.element(a / b)
 
+    def __eq__(self, other):  # the oracle's memo keys hold the field: hashed often
+        return True if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(())
+
     def __repr__(self) -> str:
         return "QQ"
 
@@ -56,8 +60,7 @@ class RationalField:
 QQ = RationalField()
 
 
-@dataclass(frozen=True)
-class PrimeFieldElement:
+class PrimeFieldElement(_Record):
     """An integer mod a prime, with ``value`` in [0, modulus).
 
     It meets only elements of its own field: another modulus raises
@@ -68,6 +71,15 @@ class PrimeFieldElement:
 
     modulus: int
     value: int
+
+    def __init__(self, modulus, value):
+        self.__dict__.update(modulus=modulus, value=value)
+
+    def __eq__(self, other):
+        return (self.value == other.value and self.modulus == other.modulus
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    __hash__ = _Record.__hash__
 
     def _check_field(self, other) -> None:
         if not isinstance(other, PrimeFieldElement):
@@ -123,8 +135,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(_Record):
     """Integers modulo a prime p."""
 
     p: int
@@ -132,8 +143,7 @@ class PrimeField:
     def __post_init__(self):
         if not _is_prime(self.p):
             raise QuiverError(f"{self.p} is not prime")
-        object.__setattr__(self, "zero", PrimeFieldElement(self.p, 0))
-        object.__setattr__(self, "one", PrimeFieldElement(self.p, 1))
+        self.__dict__.update(zero=PrimeFieldElement(self.p, 0), one=PrimeFieldElement(self.p, 1))
 
     @property
     def name(self) -> str:

@@ -16,15 +16,13 @@ global dimension, below the chain bound, is 3 over QQ and 4 over F_2 for RP^2.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Mapping
 from functools import cached_property
-from typing import Mapping
 
-from .errors import InternalInvariantError, QuiverError
+from .errors import InternalInvariantError, QuiverError, _Record, _of_rows
 from .fields import QQ
 from .linalg import Mat, _image, reduce_columns
 from .poset import Poset
-from .structure import _of_rows
 
 __all__ = [
     "PosetRepresentation", "RepMorphism", "ProjectiveCover", "Resolution", "projective",
@@ -33,8 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PosetRepresentation:
+class PosetRepresentation(_Record):
     """Vector spaces over ``field`` on the elements, maps along the covers."""
 
     poset: Poset
@@ -105,8 +102,7 @@ class PosetRepresentation:
                                 for col in self.maps[(y, j)].columns], self.dims[j], self.field)
 
 
-@dataclass(frozen=True)
-class RepMorphism:
+class RepMorphism(_Record):
     """Element-wise linear maps commuting with the structure maps."""
 
     source: PosetRepresentation
@@ -171,8 +167,7 @@ def simple(poset: Poset, x: str, field=QQ) -> PosetRepresentation:
     return _of_rows(PosetRepresentation, poset=poset, dims=dims, maps=maps, field=field)
 
 
-@dataclass(frozen=True)
-class ProjectiveCover:
+class ProjectiveCover(_Record):
     """A projective cover: multiset of projectives and the surjection."""
 
     multiset: tuple[tuple[str, int], ...]
@@ -211,8 +206,7 @@ def projective_cover(rep: PosetRepresentation) -> ProjectiveCover:
     return ProjectiveCover(tuple(counts.items()), cover_rep, surj)
 
 
-@dataclass(frozen=True)
-class Resolution:
+class Resolution(_Record):
     """A minimal projective resolution of the simple at element ``simple``.
 
     Term k sums the projectives at its tops, the element indices
@@ -224,6 +218,9 @@ class Resolution:
     simple: int
     covers: tuple[tuple[int, ...], ...]
     differentials: tuple[Mat, ...]
+
+    def __init__(self, poset, simple, covers, differentials):
+        self.__dict__.update(poset=poset, simple=simple, covers=covers, differentials=differentials)
 
     @property
     def length(self) -> int:

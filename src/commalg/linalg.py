@@ -12,7 +12,7 @@ leaves a remainder: a reduction whose pivots are all 1 or -1 builds no Fraction.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from .errors import InternalInvariantError
 from .fields import QQ

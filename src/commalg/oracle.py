@@ -37,12 +37,11 @@ table across calls, as ``pattern_report`` does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from collections.abc import Mapping
 from numbers import Rational
-from typing import Mapping
 
 from .algebra import CoefficientFunction
-from .errors import InternalInvariantError, QuiverError, TruncationOverflowError
+from .errors import InternalInvariantError, QuiverError, TruncationOverflowError, _Record
 from .fields import QQ, PrimeField
 from .quiver import Path, Quiver, WalksFrom
 from .structure import reachability
@@ -60,8 +59,7 @@ __all__ = [
 DEFAULT_PATH_CAP = 20_000
 
 
-@dataclass(frozen=True)
-class GeneralCoefficientTable:
+class GeneralCoefficientTable(_Record):
     """Path coefficients: tabulated exceptions over a multiplicative base.
 
     Any path not listed in ``exceptions`` gets the product of its arrow
@@ -72,10 +70,6 @@ class GeneralCoefficientTable:
     quiver: Quiver
     base: CoefficientFunction
     exceptions: Mapping[Path, Rational]
-    # one walk pass per source; plans, tails and middle coefficients of the tabulated branch
-    _memo: dict = dataclass_field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         self.base.check_arrows(self.quiver)
@@ -88,16 +82,14 @@ class GeneralCoefficientTable:
             if value == 0:
                 raise QuiverError(f"zero coefficient for path {path!r}")
             cleaned[path] = value
-        object.__setattr__(self, "exceptions", cleaned)
+        self.__dict__.update(exceptions=cleaned, _memo={})  # _memo: walks, plans, tails, prices
 
     @classmethod
     def trivial(cls, quiver: Quiver) -> "GeneralCoefficientTable":
         return cls(quiver, CoefficientFunction.trivial(), {})
 
     @classmethod
-    def multiplicative(
-        cls, quiver: Quiver, f: CoefficientFunction
-    ) -> "GeneralCoefficientTable":
+    def multiplicative(cls, quiver: Quiver, f: CoefficientFunction) -> "GeneralCoefficientTable":
         return cls(quiver, f, {})
 
     def value(self, path: Path) -> Rational:
@@ -110,8 +102,7 @@ class GeneralCoefficientTable:
         return not self.exceptions
 
 
-@dataclass(frozen=True)
-class TruncatedQuotientReport:
+class TruncatedQuotientReport(_Record):
     """Result of one truncated quotient computation."""
 
     source: str
@@ -121,6 +112,11 @@ class TruncatedQuotientReport:
     relation_rank: int
     dimension: int
     certified: bool
+
+    def __init__(self, source, target, truncation, path_count, relation_rank, dimension, certified):
+        self.__dict__.update(source=source, target=target, truncation=truncation,
+                             path_count=path_count, relation_rank=relation_rank,
+                             dimension=dimension, certified=certified)
 
 
 def truncated_hom_dimension(

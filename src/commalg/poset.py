@@ -10,12 +10,10 @@ against the poset's rows plus one per vertex for fullness.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .algebra import CommutingAlgebra, commuting_algebra
-from .errors import InternalInvariantError, QuiverError
+from .errors import InternalInvariantError, QuiverError, _Record
 from .fields import QQ
 from .quiver import Arrow, Quiver
 from .structure import ComponentPartition, Poset, ReachabilityPattern, _bits
@@ -35,8 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HasseDiagram:
+class HasseDiagram(_Record):
     """Cover relation of a poset (its transitive reduction)."""
 
     poset: Poset
@@ -61,8 +58,7 @@ def hasse_quiver(poset: Poset, name: str = "H") -> Quiver:
     return Quiver(poset.elements, arrows, name=name)
 
 
-@dataclass(frozen=True)
-class Skeleton:
+class Skeleton(_Record, hidden=("algebra",)):
     """One representative vertex per path component, ordered as a poset.
 
     The poset is the condensation of the commuting algebra the skeleton
@@ -73,7 +69,7 @@ class Skeleton:
     quiver: Quiver
     poset: Poset
     representatives: tuple[str, ...]
-    algebra: CommutingAlgebra = dataclasses.field(compare=False, repr=False)
+    algebra: CommutingAlgebra  # hidden: out of ==, hash and repr
 
     @property
     def partition(self) -> ComponentPartition:
@@ -105,8 +101,7 @@ def skeleton(quiver: Quiver, representatives: Sequence[str] | None = None) -> Sk
     return Skeleton(quiver, poset, representatives, algebra)
 
 
-@dataclass(frozen=True)
-class IncidenceAlgebra:
+class IncidenceAlgebra(_Record):
     """Span of the related pairs of a poset, with interval composition.
 
     Basis pairs (x, y) with x <= y, diagonal included, in row-major order.
@@ -129,8 +124,7 @@ def incidence_algebra(poset: Poset, field=QQ) -> IncidenceAlgebra:
     return IncidenceAlgebra(poset, basis, field)
 
 
-@dataclass(frozen=True)
-class SkeletonIsomorphism:
+class SkeletonIsomorphism(_Record):
     """Unit-by-unit identification of an incidence algebra with a commuting algebra.
 
     ``assignment`` maps each basis pair (x_i, x_j) of the incidence algebra to
@@ -156,20 +150,19 @@ def skeleton_iso_incidence(skel: Skeleton, field=QQ) -> SkeletonIsomorphism:
     reps, rows, one, unit = skel.representatives, skel.poset.rows, field.one, algebra.basis_element
     assignment = tuple(((i, j), (reps[i], reps[j])) for i, j in inc.basis)
     total = algebra.element({pair: one for _, pair in assignment})
+    at = [algebra.position(w) for w in reps]
+    expected = [{at[l]: one for l in _bits(row)} for row in rows]  # row j's product, by column
     for (i, j), pair in assignment:
-        expected = algebra.element({(pair[0], reps[l]): one for l in _bits(rows[j])})
-        if algebra.multiply(unit(*pair), total) != expected:
-            raise InternalInvariantError(
-                f"incidence unit {(i, j)} times the sum of the units does not match row {j}"
-            )
+        got, want, p = algebra.multiply(unit(*pair), total).entries, expected[j], at[i]
+        if len(got) != len(want) or any(r != p or want.get(c) != v for (r, c), v in got.items()):
+            raise InternalInvariantError(f"incidence unit {(i, j)} times the sum of the units "
+                                         f"does not match row {j}")
     membership = skel.partition.membership
     for v in algebra.order:
         w = reps[membership[v]]
         if algebra.multiply(unit(v, w), unit(w, v)) != unit(v, v):
-            raise InternalInvariantError(
-                f"e({v!r}, {w!r}) e({w!r}, {v!r}) is not e({v!r}, {v!r}): "
-                "the representatives' idempotent is not full"
-            )
+            raise InternalInvariantError(f"e({v!r}, {w!r}) e({w!r}, {v!r}) is not e({v!r}, {v!r}): "
+                                         "the representatives' idempotent is not full")
     return SkeletonIsomorphism(skel, algebra, inc, assignment, inc.dimension + len(algebra.order))
 
 

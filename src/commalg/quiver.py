@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
+from collections.abc import Container, Iterable, Mapping, Sequence
 from functools import cached_property
 from numbers import Rational
-from typing import Container, Iterable, Mapping, Sequence
 
-from .errors import QuiverError, TruncationOverflowError
+from .errors import QuiverError, TruncationOverflowError, _Record
 from .fields import QQ
 
 __all__ = [
@@ -37,8 +36,7 @@ class Arrow(namedtuple("Arrow", "name source target")):
         return not self == other
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(_Record):
     """A directed walk through a quiver.
 
     An empty arrow tuple is the length-zero path sitting at ``start``;
@@ -49,6 +47,16 @@ class Path:
     start: str
     arrows: tuple[str, ...]
     end: str
+
+    def __init__(self, start, arrows, end):
+        self.__dict__.update(start=start, arrows=arrows, end=end)
+
+    def __eq__(self, other):
+        return ((self.start, self.arrows, self.end) == (other.start, other.arrows, other.end)
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self):
+        return hash((self.start, self.arrows, self.end))
 
     def __len__(self) -> int:
         return len(self.arrows)

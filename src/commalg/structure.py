@@ -20,11 +20,10 @@ checked block by block, only by the commuting algebra's sweep.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
 
-from .errors import InternalInvariantError, QuiverError
+from .errors import InternalInvariantError, QuiverError, _Record, _of_rows
 from .quiver import Quiver
 
 __all__ = [
@@ -196,8 +195,7 @@ def _covers(rows: Rows) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ComponentPartition:
+class ComponentPartition(_Record):
     """Partition of the vertices into path components (mutual reachability).
 
     Components are ordered by their first-encountered vertex in declaration
@@ -233,15 +231,7 @@ def _strict_successors(self) -> list[list[int]]:
     return [list(_bits(row & ~(1 << i))) for i, row in enumerate(self.rows)]
 
 
-def _of_rows(cls, **fields):
-    """An instance made from fields known to be valid, skipping its constructor's checks."""
-    out = object.__new__(cls)
-    out.__dict__.update(fields)  # as cached_property does, past the frozen __setattr__
-    return out
-
-
-@dataclass(frozen=True, init=False)
-class ReachabilityPattern:
+class ReachabilityPattern(_Record):
     """Reflexive-transitive reachability over a vertex order, as row bitsets."""
 
     order: tuple[str, ...]
@@ -290,8 +280,7 @@ class ReachabilityPattern:
         return sum(row.bit_count() for row in self.rows)
 
 
-@dataclass(frozen=True, init=False)
-class Poset:
+class Poset(_Record):
     """Finite poset: elements and their order as row bitsets; ``leq`` is a cached view."""
 
     elements: tuple[str, ...]

@@ -3,7 +3,6 @@ import itertools
 import pickle
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -15,6 +14,7 @@ from commalg import (
     PrimeField,
     QuiverError,
     RepMorphism,
+    Resolution,
     global_dimension,
     minimal_resolution,
     projective,
@@ -25,6 +25,11 @@ from commalg import (
 from commalg.homology import _below
 from commalg.linalg import Mat
 from commalg.randgen import random_poset
+
+
+def replace(res, **changes):
+    """The resolution ``res`` with the given fields changed."""
+    return Resolution(**{**vars(res), **changes})
 
 
 def diamond():
