@@ -9,8 +9,9 @@ sparse columns at tops <= y, reduced where a kernel lives on two or more, once
 per step for all elements with those tops; they are stored as the differential's
 ``Mat``.  No generator is selected where a lower cover's kernel, independent and
 in the radical, has the kernel's size.  Each resolution is verified from those
-columns with ranks of its own, d after d, and against the Mobius function; the
-global dimension, below the chain bound, is 3 over QQ and 4 over F_2 for RP^2.
+columns with ranks of its own, d after d, and against the Mobius function by a
+zeta sum over its tops, building no mu; the global dimension, below the chain
+bound, is 3 over QQ and 4 over F_2 for RP^2.
 """
 
 from __future__ import annotations
@@ -259,12 +260,12 @@ class Resolution(_Record):
             at_k, memo = _below(poset, s), {}  # one column's rank is its truth value
             new_ranks = {y: len(_reduce_once(memo, columns, js, phi.field)[0])
                          if js[1:] else int(bool(columns[js[0]])) for y, js in at_k.items()}
-            for y in (y for y in sorted(at.keys() | at_k.keys())
-                      if new_ranks.get(y, 0) != len(at.get(y, ())) - ranks.get(y, 0)):
-                raise InternalInvariantError(f"homology at step {k - 1}, element {y}")
+            if bad := [y for y in at.keys() | at_k.keys()
+                       if new_ranks.get(y, 0) != len(at.get(y, ())) - ranks.get(y, 0)]:
+                raise InternalInvariantError(f"homology at step {k - 1}, element {min(bad)}")
             ranks, at, prev = new_ranks, at_k, columns
-        for y in (y for y in sorted(at) if ranks.get(y, 0) != len(at[y])):
-            raise InternalInvariantError(f"resolution not finished at {y}")
+        if bad := [y for y in at if ranks.get(y, 0) != len(at[y])]:
+            raise InternalInvariantError(f"resolution not finished at {min(bad)}")
 
 
 def _reduce_once(memo: dict, columns, labels, field, relations: bool = False):
@@ -324,15 +325,17 @@ def minimal_resolution(poset: Poset, x: str, field=QQ) -> Resolution:
 
 def projective_dimension(poset: Poset, x: str, field=QQ) -> int:
     """Length of the minimal resolution of the simple at x, once it passes
-    ``Resolution.verify`` and, for every y, the alternating count of P_y
-    over its terms is the Mobius function mu(x, y)."""
+    ``Resolution.verify`` and its alternating top counts are mu(x, .): as mu
+    inverts zeta, the signed count of tops at or below each y is delta(x, y)."""
     res = minimal_resolution(poset, x, field)
     res.verify()
-    euler = [0] * len(poset)
-    for k, tops in enumerate(res.covers):
+    zeta, up = [0] * len(poset), poset.up_sets
+    zeta[res.simple] = -1
+    for sign, tops in zip((1, -1) * len(res.covers), res.covers):
         for t in tops:
-            euler[t] += (-1) ** k
-    if tuple(euler) != poset.mobius[res.simple]:
+            for y in up[t]:
+                zeta[y] += sign
+    if any(zeta):
         raise InternalInvariantError(f"resolution of {x!r} disagrees with the Mobius function")
     return res.length
 

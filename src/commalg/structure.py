@@ -184,14 +184,16 @@ def _longest_chain(succ: Sequence[Sequence[int]], extension: Sequence[int]) -> i
     return max(best, default=0)
 
 
-def _covers(rows: Rows) -> tuple[tuple[int, int], ...]:
-    """Cover pairs (i, j), row-major: strict successors of i above no other one."""
+def _covers(rows: Rows, succ: Sequence[Sequence[int]]) -> tuple[tuple[int, int], ...]:
+    """Cover pairs (i, j), row-major: successors of i above no other one.  The edges
+    ``succ`` close to ``rows``, so every cover is one of them (Aho, Garey, Ullman)."""
     out = []
-    for i, row in enumerate(rows):
-        strict, above = row & ~(1 << i), 0
-        for j in _bits(strict):
-            above |= rows[j] & ~(1 << j)
-        out.extend((i, j) for j in _bits(strict & ~above))
+    for i, js in enumerate(succ):
+        edges = above = 0
+        for j in js:
+            edges |= 1 << j
+            above |= rows[j] ^ 1 << j
+        out.extend((i, j) for j in _bits(edges & ~above))
     return tuple(out)
 
 
@@ -324,19 +326,20 @@ class Poset(_Record):
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Cover pairs (i, j) of the Hasse diagram, row-major."""
-        return _covers(self.rows)
+        return _covers(self.rows, self._succ)
 
     @cached_property
     def lower_covers(self) -> tuple[tuple[int, ...], ...]:
-        """The elements each element covers, ascending; checks that every
-        strict relation i < j ends in a cover (y, j) with i <= y."""
+        """The elements each element covers, ascending; checks that each row is
+        its own bit OR the rows of its upper covers, so every strict relation
+        i < j ends in a cover (y, j) with i <= y."""
         lower: list[list[int]] = [[] for _ in self.rows]
+        spans = [1 << i for i in range(len(self.rows))]
         for i, j in self.covers:
             lower[j].append(i)
-        ends = [sum(1 << y for y in ys) for ys in lower]
-        for i, row in enumerate(self.rows):
-            if any(not row & ends[j] for j in _bits(row & ~(1 << i))):
-                raise InternalInvariantError("related pair with no cover route")
+            spans[i] |= self.rows[j]
+        if tuple(spans) != self.rows:
+            raise InternalInvariantError("related pair with no cover route")
         return tuple(map(tuple, lower))
 
     @cached_property
@@ -380,7 +383,8 @@ class Poset(_Record):
     def mobius(self) -> tuple[tuple[int, ...], ...]:
         """The Mobius function as a matrix: mu(i, i) = 1, mu(i, j) = -(sum of
         mu(i, z) over i <= z < j) for i < j, and 0 when i is not below j.
-        One pass over the related pairs in a linear extension."""
+        Each of the m rows scans a linear extension and sums the whole down-set
+        of each element above i: m^2 steps and sum_j |below(j)|^2 additions."""
         below: list[list[int]] = [[] for _ in self.rows]
         for i, up in enumerate(self.up_sets):
             for j in up:

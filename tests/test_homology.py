@@ -121,6 +121,14 @@ def test_related_pair_with_no_cover_route_is_caught(monkeypatch):
         PosetRepresentation(p, (1, 1, 1), {(0, 1): Mat(1, 1, [[1]])})
 
 
+def test_a_dropped_diamond_cover_is_caught(monkeypatch):
+    # without the cover a < b, a's row is more than a and the rows of c and d
+    p = diamond()
+    monkeypatch.setitem(p.__dict__, "covers", ((0, 2), (1, 3), (2, 3)))
+    with pytest.raises(InternalInvariantError, match="related pair with no cover route"):
+        p.lower_covers
+
+
 def representation_resolution(poset, x, field=QQ):
     """The reference route on representations: iterated projective covers of
     kernels.  One step per term: (the module covered, its cover, and the map
@@ -793,6 +801,52 @@ def test_a_resolution_that_disagrees_with_mobius_is_caught(monkeypatch):
     monkeypatch.setattr(homology.Resolution, "verify", lambda self: None)
     with pytest.raises(InternalInvariantError, match="'a' disagrees with the Mobius function"):
         global_dimension(diamond())
+
+
+def tampered_tops(res):
+    """Each way to add one top at any element, in any term or a new one, or to
+    remove one: (that element, the changed tops of every term)."""
+    for k in range(len(res.covers) + 1):
+        tops = res.covers[k] if k < len(res.covers) else ()
+        for y in range(len(res.poset)):
+            yield y, res.covers[:k] + (tops + (y,),) + res.covers[k + 1:]
+        for i, y in enumerate(tops):
+            yield y, res.covers[:k] + (tops[:i] + tops[i + 1:],) + res.covers[k + 1:]
+
+
+@pytest.mark.parametrize("poset", [chain(3), diamond(), rp2_face_poset()],
+                         ids=["chain3", "diamond", "rp2"])
+def test_the_zeta_sum_catches_one_top_added_or_removed(monkeypatch, poset):
+    import commalg.homology as homology
+
+    # with verify switched off, only the Mobius check is left to notice
+    monkeypatch.setattr(homology.Resolution, "verify", lambda self: None)
+    rows, tampered = poset.rows, set()
+    for x in poset.elements:
+        res = minimal_resolution(poset, x)
+        monkeypatch.setattr(homology, "minimal_resolution", lambda *args: res)
+        assert projective_dimension(poset, x) == res.length
+        for y, covers in tampered_tops(res):
+            tampered.add((res.simple, y))
+            monkeypatch.setattr(homology, "minimal_resolution",
+                                lambda *args, covers=covers: replace(res, covers=covers))
+            with pytest.raises(InternalInvariantError, match="disagrees with the Mobius function"):
+                projective_dimension(poset, x)
+    # every pair was reached, those of incomparable elements included
+    assert tampered == set(itertools.product(range(len(poset)), repeat=2))
+    assert any(not (rows[x] >> y & 1 or rows[y] >> x & 1) for x, y in tampered) == (
+        poset != chain(3))
+
+
+@pytest.mark.parametrize("build", [pytest.param(rp2_face_poset, id="rp2")] + [
+    pytest.param(lambda m=m, s=s: random_poset(m, 1000 * m + s, 0.3), id=f"random_poset_{m}_{s}")
+    for m in (10, 14, 18) for s in range(2)
+])
+def test_global_dimension_builds_no_mobius_matrix(build):
+    # the seeded posets, built afresh: other tests read the shared ones' matrix
+    poset = build()
+    global_dimension(poset)
+    assert "mobius" not in poset.__dict__
 
 
 def _dense_rref(rows, ncols, field):

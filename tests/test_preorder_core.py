@@ -18,6 +18,7 @@ from commalg import (
     condensation,
     hasse,
     path_components,
+    skeleton,
 )
 from commalg.randgen import random_quiver
 from commalg.structure import _closure, _components, _successors
@@ -163,6 +164,40 @@ def test_poset_algorithms_match_brute_force(seed):
     assert poset.leq == leq
     assert Poset.from_pairs(poset.elements, pairs) == poset
     assert hash(Poset.from_pairs(poset.elements, pairs)) == hash(poset)
+
+
+def test_covers_of_duplicate_and_shortcut_pairs():
+    poset = Poset.from_pairs("abc", [("a", "b"), ("b", "c"), ("a", "b"), ("a", "c"), ("a", "c")])
+    assert poset.covers == ((0, 1), (1, 2))
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_covers_from_pairs_that_are_not_the_covers_match_brute_force(seed):
+    # every cover, half the related pairs as shortcuts, then half again repeated
+    rng = random.Random(seed)
+    n = rng.randint(1, 8)
+    leq = random_partial_order(rng, n)
+    names = tuple(f"x{i}" for i in range(n))
+    related = [(i, j) for i, j in product(range(n), repeat=2) if i != j and leq[i][j]]
+    pairs = list(brute_covers(leq)) + rng.sample(related, len(related) // 2)
+    pairs += rng.choices(pairs, k=len(pairs) // 2)
+    rng.shuffle(pairs)
+    poset = Poset.from_pairs(names, [(names[i], names[j]) for i, j in pairs])
+    assert poset.leq == leq
+    assert poset.covers == brute_covers(leq)
+
+
+@pytest.mark.parametrize("seed", [8, 11, 12, 15, 18, 23])
+def test_skeleton_covers_over_parallel_and_shortcut_arrows_match_brute_force(seed):
+    # the skeleton's order is generated by the arrows between components,
+    # which here repeat a pair and also join pairs that are not covers
+    quiver = random_quiver(12, 18, seed)
+    poset, owner = skeleton(quiver).poset, path_components(quiver).membership
+    between = [(owner[a.source], owner[a.target]) for a in quiver.arrows
+               if owner[a.source] != owner[a.target]]
+    assert len(set(between)) < len(between)
+    assert set(between) - set(poset.covers)
+    assert poset.covers == brute_covers(poset.leq)
 
 
 def test_condensation_rejects_a_partition_that_splits_reachability():
