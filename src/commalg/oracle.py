@@ -7,32 +7,24 @@ cutoff.  The reported dimension is the corank of the relation span.  No
 reachability shortcut is consulted: this is the independent check that the
 pattern-based algebra is measuring the right thing.
 
-The unpadded relations f(p) p - f(q) q tie every walk v -> w to the first:
-they span the hyperplane where phi(w) = 1 / f(w) vanishes, so the dimension
-is 1 or 0, and 0 exactly when a padded relation breaks f(p) f(rqs) =
-f(q) f(rps).  With multiplicative coefficients none does, so the report is
-the walk count; walks are listed only to check, over a prime field with
-weights, that none vanishes.  The tabulated branch runs heads x middles x
-tails walk lists and stops at the first relation that breaks it.
-
-Each ``GeneralCoefficientTable`` memoizes one ``WalksFrom`` per ``(source,
-truncation, path_cap)``: one frontier pass that counts, and where needed
-lists as ``(arrows, length)`` pairs, the walks from the source to every
-target at once, with the length at which each target overflows the cap, which
-raises again on every read; below truncation n - 1, one uncapped pass per
-source to n - 1 certifies the targets without a walk.  The tabulated branch
-keeps a plan per ``(field, source, truncation, path_cap)``, each (a, b) in
-vertex order with a head to a and two middles a -> b or more, and per
-``(target, truncation, path_cap)`` each b's walks to the target.  A pair
-prices a plan's middle list once a tail follows it, once per field and
-(a, b), as its coefficients; a lone middle is never priced.  Each later
-middle q is checked against the first, shortest, p_0 alone: where (p, q)
-fits beside r and s, so do (p_0, p) and (p_0, q), and with nonzero
-coefficients those two imply it.  Pricing stops at the first coefficient
-that vanishes or is not defined in the field and stores that failure, which
-raises only where a relation that fits reads it: where the failing walk and
-the list's second walk fit beside the shortest head and tail.  Reuse one
-table across calls, as ``pattern_report`` does.
+The unpadded relations f(p) p - f(q) q tie every walk v -> w to the first,
+so the dimension is 1 or 0, and 0 exactly when a padded relation breaks
+f(p) f(rqs) = f(q) f(rps).  With multiplicative coefficients none does, so
+the report is the walk count: each ``GeneralCoefficientTable`` memoizes one
+packed ``WalkCounts`` pass per (truncation, path_cap), which counts every
+pair at once, and below truncation n - 1 one uncapped pass to n - 1 that
+certifies the targets without a walk.  Walks are listed, by one ``WalksFrom``
+per (source, truncation, path_cap), only where a coefficient other than one
+is read: over a prime field with weights, to check that none vanishes, and
+in the tabulated branch.  That branch keeps a plan per (field, source,
+truncation, path_cap), each (a, b) in vertex order with a head to a and two
+middles a -> b or more, and per (target, truncation, path_cap) each b's
+walks to the target.  A middle list is priced once per field and (a, b),
+once a tail follows it, and each later middle q is checked against the
+first, p_0: where (p, q) fits beside r and s, so do (p_0, p) and (p_0, q),
+and with nonzero coefficients those two imply it.  Pricing stops at the
+first coefficient that vanishes or is not defined in the field, and that
+failure raises only where a relation that fits reads it.
 """
 
 from __future__ import annotations
@@ -43,7 +35,7 @@ from numbers import Rational
 from .algebra import CoefficientFunction
 from .errors import InternalInvariantError, QuiverError, TruncationOverflowError, _Record
 from .fields import QQ, PrimeField
-from .quiver import Path, Quiver, WalksFrom
+from .quiver import Path, Quiver, WalkCounts, WalksFrom
 from .structure import reachability
 
 __all__ = [
@@ -82,7 +74,7 @@ class GeneralCoefficientTable(_Record):
             if value == 0:
                 raise QuiverError(f"zero coefficient for path {path!r}")
             cleaned[path] = value
-        self.__dict__.update(exceptions=cleaned, _memo={})  # _memo: walks, plans, tails, prices
+        self.__dict__.update(exceptions=cleaned, _memo={})  # _memo: passes, plans, tails, prices
 
     @classmethod
     def trivial(cls, quiver: Quiver) -> "GeneralCoefficientTable":
@@ -119,6 +111,38 @@ class TruncatedQuotientReport(_Record):
                              dimension=dimension, certified=certified)
 
 
+def _listed(quiver: Quiver, table: GeneralCoefficientTable, truncation: int, field) -> bool:
+    """Refuse a foreign table or a negative truncation; tell whether walks are listed."""
+    if table.quiver != quiver:
+        raise QuiverError("coefficient table belongs to a different quiver")
+    if truncation < 0:
+        raise QuiverError("truncation must be nonnegative")
+    return not table.is_multiplicative or (
+        isinstance(field, PrimeField) and not table.base.is_trivial)
+
+
+def _counts(table: GeneralCoefficientTable, length: int, cap) -> WalkCounts:
+    """The table's packed pass to ``length`` under ``cap``, made once."""
+    found = table._memo.get((length, cap))
+    if found is None:
+        found = table._memo[length, cap] = WalkCounts(table.quiver, length, cap)
+    return found
+
+
+def _report(table, source, target, truncation, path_count, rank=None) -> TruncatedQuotientReport:
+    if rank is None:
+        # r (f(p) p - f(q) q) s is a multiple of f(rps) rps - f(rqs) rqs, so
+        # padding adds no relation, and each later walk adds one to the rank
+        rank = max(path_count - 1, 0)
+    # a reachable target has a walk of length at most n - 1, so below that
+    # truncation a target without a walk is certified by one uncapped pass
+    dimension, last = path_count - rank, table.quiver.n - 1
+    reached = (path_count > 0 or truncation >= last
+               or not _counts(table, last, None).count(source, target))
+    return TruncatedQuotientReport(source, target, truncation, path_count, rank, dimension,
+                                   reached and (table.is_multiplicative or dimension == 0))
+
+
 def truncated_hom_dimension(
     quiver: Quiver,
     table: GeneralCoefficientTable,
@@ -129,10 +153,13 @@ def truncated_hom_dimension(
     field=QQ,
 ) -> TruncatedQuotientReport:
     """Dimension of span(paths source -> target, length <= truncation) / relations."""
-    if table.quiver != quiver:
-        raise QuiverError("coefficient table belongs to a different quiver")
-    if truncation < 0:
-        raise QuiverError("truncation must be nonnegative")
+    lists = _listed(quiver, table, truncation, field)
+    quiver.check_vertex(source)
+    quiver.check_vertex(target)
+    if not lists:
+        count = _counts(table, truncation, path_cap).count(source, target)
+        return _report(table, source, target, truncation, count)
+    memo = table._memo
 
     def coeff(path: Path):
         # a nonzero rational must also be defined and nonzero in the field
@@ -146,33 +173,19 @@ def truncated_hom_dimension(
             raise QuiverError(f"coefficient of {path!r} vanishes in {field.name}")
         return value
 
-    quiver.check_vertex(source)
-    quiver.check_vertex(target)
-    memo = table._memo
-    # walks are listed only where a coefficient other than one is read
-    lists = not table.is_multiplicative or (
-        isinstance(field, PrimeField) and not table.base.is_trivial
-    )
-
-    def walks_from(a: str, length: int = truncation, cap=path_cap, listed=lists) -> WalksFrom:
-        # one frontier pass per source serves every target
-        key = (a, length, cap)
-        found = memo.get(key)
-        if found is None or (listed and found.lists is None):
-            found = memo[key] = WalksFrom(quiver, a, length, cap, listed)
+    def walks_from(a: str) -> WalksFrom:
+        # one frontier pass per source lists the walks to every target
+        found = memo.get((a, truncation, path_cap))
+        if found is None:
+            found = memo[a, truncation, path_cap] = WalksFrom(quiver, a, truncation, path_cap, True)
         return found
 
     from_source = walks_from(source)
-    if table.is_multiplicative:
-        # r (f(p) p - f(q) q) s is a scalar multiple of the plain difference
-        # f(rps) rps - f(rqs) rqs, so padding never adds new relations; each
-        # f(p_0) p_0 = f(p_k) p_k ties one more path to the first, so the
-        # relations have rank one less than the path count
-        path_count = from_source.count(target)
-        if path_count > 1 and lists:
+    if table.is_multiplicative:  # the count's rank, once each walk is priced
+        path_count, rank = from_source.count(target), None
+        if path_count > 1:
             for arrows, _ in from_source.walks(target):
                 coeff(Path(source, arrows, target))  # raises unless nonzero in the field
-        rank = max(path_count - 1, 0)
     else:
         def price(a: str, b: str, middles) -> tuple[list, tuple | None]:
             # coefficients up to the first failure, and its (length, message)
@@ -266,17 +279,7 @@ def truncated_hom_dimension(
             f = {arrows: c for (arrows, _), c in zip(targets, coeffs)}
             rank = path_count - 1 if agrees(f) else path_count
 
-    dimension = path_count - rank
-    # a reachable target has a path of length at most n - 1, which a
-    # truncation of n - 1 or more has already counted; below it, one uncapped
-    # pass per source to n - 1 answers every target
-    last = quiver.n - 1
-    reached = (path_count > 0 or truncation >= last
-               or not walks_from(source, last, None, False).count(target))
-    certified = reached and (table.is_multiplicative or dimension == 0)
-    return TruncatedQuotientReport(
-        source, target, truncation, path_count, rank, dimension, certified
-    )
+    return _report(table, source, target, truncation, path_count, rank)
 
 
 def vertex_nondegeneracy(
@@ -304,11 +307,12 @@ def pattern_report(
     """Truncated quotient reports for every ordered vertex pair."""
     if table is None:
         table = GeneralCoefficientTable.trivial(quiver)
-    return [
-        truncated_hom_dimension(quiver, table, v, w, truncation, path_cap, field)
-        for v in quiver.vertices
-        for w in quiver.vertices
-    ]
+    pairs = [(v, w) for v in quiver.vertices for w in quiver.vertices]
+    if _listed(quiver, table, truncation, field):
+        return [truncated_hom_dimension(quiver, table, v, w, truncation, path_cap, field)
+                for v, w in pairs]
+    walks = _counts(table, truncation, path_cap)
+    return [_report(table, v, w, truncation, walks.count(v, w)) for v, w in pairs]
 
 
 def pattern_equivalence(

@@ -17,6 +17,7 @@ __all__ = [
     "compose",
     "is_parallel",
     "WalksFrom",
+    "WalkCounts",
     "count_paths",
     "enumerate_paths",
     "to_dot",
@@ -206,9 +207,10 @@ class WalksFrom:
     One frontier pass counts the walks to every end at once; with ``lists``
     it also keeps each end's walks as ``(arrows, length)`` pairs, by length,
     then lexicographically by arrow declaration order, building no ``Path``.
-    With ``cap`` set, an end overflows at the first length where the walks of
-    that length, or the walks to that end so far, exceed it, and a length is
-    listed only once its walks are within the cap.
+    With ``cap`` set, an end overflows at the first length where the walks to
+    it so far exceed the cap, and every end at the first length where the
+    walks of that length do; a length is listed only once within the cap.
+    ``WalkCounts`` counts from every source at once by the same rules.
     """
 
     def __init__(self, quiver: Quiver, source: str, max_length: int,
@@ -246,12 +248,8 @@ class WalksFrom:
 
     def count(self, target: str) -> int:
         """The walks to ``target``; raises TruncationOverflowError where it overflows."""
-        length = self.over.get(target, self.spill)
-        if length is not None:
-            raise TruncationOverflowError(
-                f"path count from {self.source!r} to {target!r} exceeds cap {self.cap} "
-                f"at length {length}"
-            )
+        if (length := self.over.get(target, self.spill)) is not None:
+            raise _overflow(self.source, target, self.cap, length)
         return self.counts.get(target, 0)
 
     def walks(self, target: str) -> list[tuple[tuple[str, ...], int]]:
@@ -259,13 +257,88 @@ class WalksFrom:
         return self.lists.get(target, [])
 
 
+def _overflow(source: str, target: str, cap: int, length: int) -> TruncationOverflowError:
+    return TruncationOverflowError(
+        f"path count from {source!r} to {target!r} exceeds cap {cap} at length {length}")
+
+
+class WalkCounts:
+    """The walks of length at most ``max_length`` between every pair, by one packed pass.
+
+    Vertex t holds one int with a W-bit slot per source (Kronecker substitution),
+    so each (length, arrow) adds the arrow's source int into its target's for
+    every source at once.  W holds the largest count or frontier sum of one
+    unpacked pass from every vertex at once, and a guard bit: adding
+    2^(W-1) - 1 - cap to every slot sets the guard bits of those above the cap,
+    so ``WalksFrom``'s cap rules are tested on every slot at once, and not at
+    all where that bound is within the cap.
+    """
+
+    def __init__(self, quiver: Quiver, max_length: int, cap: int | None = None):
+        if max_length < 0:
+            raise QuiverError("max_length must be nonnegative")
+        if cap is not None and cap < 0:
+            raise QuiverError("path cap must be nonnegative")
+        n, self.index, self.cap, self.over, self.spill = quiver.n, quiver.vertex_index, cap, {}, {}
+        arrows = [(self.index[source], self.index[target]) for _, source, target in quiver.arrows]
+
+        def frontiers(frontier):  # the walks of each length, while any is left
+            for length in range(1, max_length + 1):
+                frontier, previous = [0] * n, frontier
+                for source, target in arrows:
+                    frontier[target] += previous[source]
+                if not any(frontier):
+                    return
+                yield length, frontier
+
+        totals, bound = [1] * n, 1
+        for _, frontier in frontiers(totals):
+            totals = [x + walks for x, walks in zip(totals, frontier)]
+            bound = max(bound, sum(frontier), *totals)
+        size = self.size = bound.bit_length() // 8 + 1  # bytes per slot, guard bit included
+        ones = int.from_bytes(b"\1".ljust(size, b"\0") * n, "little")
+        guard, low = ones << 8 * size - 1, ones * ((1 << 8 * size - 1) - 1)
+        test = cap is not None and cap < bound  # no slot can pass a cap above the bound
+        # an int count exceeds a cap c exactly where it exceeds int(c)
+        bias, spilled = low - ones * int(cap) if test else low, 0
+
+        def slots(mask):  # the sources whose guard bit is set
+            tops = mask.to_bytes(n * size, "little")[size - 1::size]
+            return [s for s, top in enumerate(tops) if top]
+
+        totals = [1 << 8 * size * s for s in range(n)]  # the walk of length 0, in its own slot
+        for length, frontier in frontiers(totals[:]):
+            for t, walks in enumerate(frontier):
+                if walks:
+                    totals[t] = total = totals[t] + walks
+                    # only an end reached at this length can newly overflow
+                    if test and (hit := (total + bias) & (walks + low) & guard & ~spilled):
+                        for s in slots(hit):
+                            self.over.setdefault((s, t), length)
+            if test:
+                total = sum(frontier)
+                for s in slots((hit := (total + bias) & guard) & ~spilled):
+                    self.spill[s] = length  # every end of s overflows here
+                spilled |= hit
+                if not (total + low) & guard & ~spilled:
+                    break  # each source with walks left has overflowed
+        self.columns = [x.to_bytes(n * size, "little") for x in totals]
+
+    def count(self, source: str, target: str) -> int:
+        """The walks from ``source`` to ``target``; raises TruncationOverflowError on overflow."""
+        s, t = self.index[source], self.index[target]
+        if (length := self.over.get((s, t), self.spill.get(s))) is not None:
+            raise _overflow(source, target, self.cap, length)
+        return int.from_bytes(self.columns[t][s * self.size:(s + 1) * self.size], "little")
+
+
 def count_paths(
     quiver: Quiver, source: str, target: str, max_length: int, cap: int | None = None
 ) -> int:
     """Number of paths from ``source`` to ``target`` of length at most ``max_length``.
 
-    With ``cap`` set, raises TruncationOverflowError at the first length where
-    the walks of that length from ``source`` or the matches so far exceed it.
+    One ``WalksFrom`` pass from ``source``; with ``cap`` set, raises
+    TruncationOverflowError where that pass's cap rules overflow ``target``.
     """
     quiver.check_vertex(source)
     quiver.check_vertex(target)
@@ -279,7 +352,7 @@ def enumerate_paths(
 
     Ordered by length, then lexicographically by arrow declaration order.  The
     length-0 path appears exactly when source == target.  The cap is that of
-    ``count_paths``, checked at each length before its walks are listed.
+    ``WalksFrom``, checked at each length before its walks are listed.
     """
     quiver.check_vertex(source)
     quiver.check_vertex(target)

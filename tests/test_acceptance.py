@@ -30,7 +30,7 @@ from commalg import (
     truncated_hom_dimension,
 )
 from commalg.poset import Poset, hasse_quiver
-from commalg.quiver import Quiver, enumerate_paths
+from commalg.quiver import Quiver, WalksFrom, enumerate_paths
 from commalg.randgen import (
     random_poset,
     random_quiver,
@@ -423,3 +423,23 @@ def test_criterion_14_global_dimension_at_400_elements():
         elapsed = time.perf_counter() - start
         assert elapsed < bound
         _report(14, f"global dimension {gldim} at m = {m} over {field} ({elapsed:.3f}s)")
+
+
+def test_criterion_15_packed_walk_counts_at_300_vertices():
+    # one packed pass counts the walks between every pair at L = n + 2, its
+    # slots sized by one unpacked pass from every vertex at once
+    n = 300
+    q = random_sparse_quiver(n, 2 * n, random.Random(n))
+    start = time.perf_counter()
+    reports = pattern_report(q, n + 2, path_cap=10**200)
+    elapsed = time.perf_counter() - start
+    assert len(reports) == n * n
+    for k in range(0, n, n // 10):
+        source = q.vertices[k]
+        walks = WalksFrom(q, source, n + 2, 10**200)
+        assert [r.path_count for r in reports[k * n:(k + 1) * n]] == [
+            walks.count(target) for target in q.vertices]
+    assert elapsed < 5.0
+    largest = max(r.path_count for r in reports)
+    _report(15, f"packed walk counts at n = {n}, L = {n + 2}, largest "
+                f"{largest.bit_length()} bits ({elapsed:.3f}s)")

@@ -412,20 +412,34 @@ def test_gldim_sorts_the_skeleton_order_once(monkeypatch, tmp_path, capsys):
 def test_verify_reads_vertex_nondegeneracy_off_the_report(
     monkeypatch, two_block_file, capsys
 ):
-    # one oracle call per ordered vertex pair, none repeated for the diagonal
+    # one packed pass at the default truncation and cap, above n - 1 so with
+    # no uncapped pass, no per-pair oracle call and no walk list; one count
+    # per ordered vertex pair, none repeated for the diagonal
     import commalg.oracle
+    from commalg.quiver import WalkCounts, WalksFrom
 
-    calls = []
-    original = commalg.oracle.truncated_hom_dimension
+    passes, reads = [], []
+    build, count = WalkCounts.__init__, WalkCounts.count
 
-    def counted(*args, **kwargs):
-        calls.append(args[2:4])
-        return original(*args, **kwargs)
+    def built(self, quiver, max_length, cap=None):
+        passes.append((quiver.n, max_length, cap))
+        build(self, quiver, max_length, cap)
 
-    monkeypatch.setattr(commalg.oracle, "truncated_hom_dimension", counted)
+    def counted(self, source, target):
+        reads.append((source, target))
+        return count(self, source, target)
+
+    def refuse(*args, **kwargs):
+        pytest.fail("verify read the oracle pair by pair")
+
+    monkeypatch.setattr(WalkCounts, "__init__", built)
+    monkeypatch.setattr(WalkCounts, "count", counted)
+    monkeypatch.setattr(WalksFrom, "__init__", refuse)
+    monkeypatch.setattr(commalg.oracle, "truncated_hom_dimension", refuse)
     code, out, _ = run_cli(["verify", two_block_file], capsys)
     assert code == 0
-    assert len(calls) == len(set(calls)) == 36
+    assert passes == [(6, 8, commalg.oracle.DEFAULT_PATH_CAP)]
+    assert len(reads) == len(set(reads)) == 36
     properties = {p["name"]: p["pass"] for p in json.loads(out)["properties"]}
     assert properties["vertex_nondegeneracy"] is True
 

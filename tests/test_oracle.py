@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from commalg import (
+    DEFAULT_PATH_CAP,
     CoefficientFunction,
     GeneralCoefficientTable,
     InternalInvariantError,
@@ -22,7 +23,7 @@ from commalg import (
 )
 from commalg.cli import run
 from commalg.linalg import Mat
-from commalg.quiver import Path, Quiver, WalksFrom, enumerate_paths
+from commalg.quiver import Path, Quiver, WalkCounts, WalksFrom, enumerate_paths
 from commalg.randgen import random_quiver, random_sparse_quiver, random_weights
 from commalg.structure import reachability
 from commalg.fields import QQ, PrimeFieldElement
@@ -489,39 +490,64 @@ def test_missing_unpadded_relations_raise(monkeypatch):
         truncated_hom_dimension(q, table, "s", "t", 2)
 
 
+def _record_passes(monkeypatch):
+    """Patch both walk passes to record their arguments: ("counts", length, cap)
+    for a packed pass, ("walks", source, length, cap, lists) for a ``WalksFrom``."""
+    passes = []
+    counts, walks = WalkCounts.__init__, WalksFrom.__init__
+
+    def packed(self, quiver, max_length, cap=None):
+        passes.append(("counts", max_length, cap))
+        counts(self, quiver, max_length, cap)
+
+    def listed(self, quiver, source, max_length, cap=None, lists=False):
+        passes.append(("walks", source, max_length, cap, lists))
+        walks(self, quiver, source, max_length, cap, lists)
+
+    monkeypatch.setattr(WalkCounts, "__init__", packed)
+    monkeypatch.setattr(WalksFrom, "__init__", listed)
+    return passes
+
+
 def test_no_uncapped_recount_once_the_truncation_reaches_n_minus_1(monkeypatch):
-    # certification reads one uncapped pass per source to n - 1, kept in the
-    # table's memo: at most one per source below n - 1, and none from n - 1 on
-    uncapped = []
-    original = WalksFrom.__init__
-
-    def recording(self, quiver, source, max_length, cap=None, lists=False):
-        if cap is None:
-            uncapped.append((source, max_length))
-        original(self, quiver, source, max_length, cap, lists)
-
-    monkeypatch.setattr(WalksFrom, "__init__", recording)
+    # certification reads one uncapped packed pass to n - 1, kept in the
+    # table's memo: made at the first report without a walk below n - 1, for
+    # trivial and tabulated tables alike, and never from n - 1 on
+    passes = _record_passes(monkeypatch)
     for seed in range(12):
         rng = random.Random(seed)
         n = rng.randint(3, 5)
         q = random_quiver(n, n + 1, rng)
         pattern = reachability(q)
         for table in (GeneralCoefficientTable.trivial(q), _tabulated_table(q, rng, 2)):
-            uncapped.clear()
-            needed = {}  # the sources with a target without a walk, in report order
+            passes.clear()
+            uncapped = [("counts", n - 1, None)]
+            needed = None  # the first truncation with a report without a walk
             for truncation in range(n + 1):
-                passes = len(uncapped)
+                built = len(passes)
                 reports = pattern_report(q, truncation, table)
-                if truncation >= n - 1:
-                    assert len(uncapped) == passes
-                else:
-                    needed.update(dict.fromkeys(r.source for r in reports if r.path_count == 0))
+                if needed is None and truncation < n - 1 and any(
+                        r.path_count == 0 for r in reports):
+                    needed = truncation
+                made = [p for p in passes[built:] if p[0] == "counts" and p[2] is None]
+                assert made == (uncapped if truncation == needed else [])
                 for r in reports:
                     reached = r.path_count > 0 or not pattern.at(r.source, r.target)
                     assert r.certified == (
                         reached and (table.is_multiplicative or r.dimension == 0)
                     )
-            assert uncapped == [(source, n - 1) for source in needed]
+            assert needed is not None
+            # every other pass is capped: the walk lists of the tabulated
+            # branch, or one packed pass per truncation
+            capped = [p for p in passes if p not in uncapped]
+            assert all((p[3] if p[0] == "walks" else p[2]) == DEFAULT_PATH_CAP for p in capped)
+            assert [p[1] for p in capped if p[0] == "counts"] == (
+                list(range(n + 1)) if table.is_multiplicative else [])
+        # on a fresh table, from n - 1 on, no uncapped pass at all
+        for truncation in (n - 1, n):
+            passes.clear()
+            pattern_report(q, truncation, GeneralCoefficientTable.trivial(q))
+            assert passes == [("counts", truncation, DEFAULT_PATH_CAP)]
 
 
 def test_weights_whose_product_is_one_never_vanish_mod_p():
@@ -619,6 +645,16 @@ class PerPairWalks:
         return self.listed[target]
 
 
+class PerPairCounts:
+    """``WalkCounts`` read through ``PerPairWalks``: one frontier per pair."""
+
+    def __init__(self, quiver, max_length, cap=None):
+        self.walks = {v: PerPairWalks(quiver, v, max_length, cap) for v in quiver.vertices}
+
+    def count(self, source, target):
+        return self.walks[source].count(target)
+
+
 def _report_outcome(q, table, truncation, cap, field):
     # a fresh table, so that no memo entry crosses from one route to the other
     fresh = GeneralCoefficientTable(q, table.base, table.exceptions)
@@ -660,7 +696,9 @@ def test_per_source_walks_match_the_per_pair_reference(monkeypatch):
     for q, table, truncation, cap, field in cases:
         actual = _report_outcome(q, table, truncation, cap, field)
         with monkeypatch.context() as patched:
+            # trivial and multiplicative tables count through PerPairWalks too
             patched.setattr("commalg.oracle.WalksFrom", PerPairWalks)
+            patched.setattr("commalg.oracle.WalkCounts", PerPairCounts)
             expected = _report_outcome(q, table, truncation, cap, field)
         assert actual == expected
         if isinstance(actual, list):
@@ -671,6 +709,85 @@ def test_per_source_walks_match_the_per_pair_reference(monkeypatch):
             outcomes["field"] += 1
     assert min(outcomes.values()) >= 100, outcomes
     assert min(PerPairWalks.binds.values()) >= 100, PerPairWalks.binds
+
+
+def _walk_outcomes(walks_of, q):
+    """Every (source, target) count, or its overflow message, off ``walks_of``."""
+    out = []
+    for source in q.vertices:
+        for target in q.vertices:
+            try:
+                out.append(walks_of(source, target))
+            except TruncationOverflowError as error:
+                out.append(str(error))
+    return out
+
+
+def _packed_against_frontiers(q, truncation, cap):
+    packed = WalkCounts(q, truncation, cap)
+    frontiers = {v: WalksFrom(q, v, truncation, cap) for v in q.vertices}
+    actual = _walk_outcomes(packed.count, q)
+    assert actual == _walk_outcomes(lambda s, t: frontiers[s].count(t), q)
+    return packed, actual
+
+
+PACKED_CAPS = (None, 0, 1, 2, 4, 9, 30, 20000)
+
+
+def test_packed_counts_match_the_frontier_pass_per_source():
+    # every count and every overflow length on seeded random quivers, from a
+    # few vertices and no arrows to twice as many arrows as vertices
+    overflows = counts = 0
+    for seed in range(3000, 3060):
+        rng = random.Random(seed)
+        n = rng.randint(1, 7)
+        q = random_quiver(n, rng.randint(0, 2 * n), rng)
+        for truncation in range(n + 3):
+            for cap in PACKED_CAPS:
+                _, outcomes = _packed_against_frontiers(q, truncation, cap)
+                overflows += sum(isinstance(o, str) for o in outcomes)
+                counts += sum(isinstance(o, int) for o in outcomes)
+    assert min(overflows, counts) >= 1000, (overflows, counts)
+
+
+def test_packed_counts_keep_a_cap_0_source_without_arrows():
+    # w has no arrow, so its walk of length 0 exceeds a cap of 0 at no length;
+    # every end of v overflows at length 1, where v's walks of one length do
+    q = Quiver(["v", "w"], [("a", "v", "w")])
+    for truncation in range(4):
+        packed, outcomes = _packed_against_frontiers(q, truncation, 0)
+        assert packed.count("w", "w") == 1 and packed.count("w", "v") == 0
+        if truncation:
+            assert outcomes[:2] == [f"path count from 'v' to {t!r} exceeds cap 0 at length 1"
+                                    for t in "vw"]
+
+
+def test_packed_counts_fill_a_slot_to_the_all_sources_bound():
+    # x has two loops, y one and no arrow joins them: at L = 6 x has 127 walks
+    # to itself, every walk to x, and no frontier of one length holds more,
+    # so a slot holds the all-sources bound in 7 bits beneath its guard bit
+    q = Quiver(["x", "y"], [("a", "x", "x"), ("b", "x", "x"), ("c", "y", "y")])
+    for cap in PACKED_CAPS + (63, 64, 126, 127, 128):
+        packed, outcomes = _packed_against_frontiers(q, 6, cap)
+        assert packed.size == 1
+        if cap is None or cap >= 127:
+            assert outcomes == [127, 0, 0, 7]
+    assert _packed_against_frontiers(q, 6, 126)[1][0] == (
+        "path count from 'x' to 'x' exceeds cap 126 at length 6")
+
+
+def test_packed_counts_read_a_cap_that_is_not_an_int_as_walks_from_does():
+    # a count exceeds the cap 4.5 where it exceeds 4, and never exceeds
+    # infinity: the packed pass, and the walk lists that weights over F_p read
+    for seed in range(3060, 3070):
+        rng = random.Random(seed)
+        n = rng.randint(2, 6)
+        q = random_quiver(n, 2 * n, rng)
+        for cap in (2.5, Fraction(9, 2), 30.0, float("inf")):
+            _packed_against_frontiers(q, n + 2, cap)
+            assert (_report_outcome(q, GeneralCoefficientTable.trivial(q), n + 2, cap, QQ)
+                    == _report_outcome(q, GeneralCoefficientTable(q, random_weights(q, rng), {}),
+                                       n + 2, cap, PrimeField(1000003)))
 
 
 def nested_loop_hom_dimension(q, table, source, target, truncation, cap, field, memo):
@@ -800,14 +917,11 @@ def test_source_plans_match_the_nested_loop_reference():
 
 
 def test_reports_read_one_frontier_pass_per_source(monkeypatch):
-    passes = []
-    original = WalksFrom.__init__
-
-    def counting(self, quiver, source, max_length, *args, **kwargs):
-        passes.append((source, max_length))
-        original(self, quiver, source, max_length, *args, **kwargs)
-
-    monkeypatch.setattr(WalksFrom, "__init__", counting)
+    # counts alone (trivial coefficients, or weights over QQ) read one packed
+    # pass per (table, truncation, cap) and list no walk; reports that read
+    # a coefficient other than one list the walks of one frontier pass per
+    # source, and count none
+    passes = _record_passes(monkeypatch)
     for seed in range(12):
         rng = random.Random(seed)
         n = rng.randint(2, 6)
@@ -815,23 +929,35 @@ def test_reports_read_one_frontier_pass_per_source(monkeypatch):
         weights = random_weights(q, rng)
         for table, field in (
             (GeneralCoefficientTable.trivial(q), QQ),
+            (GeneralCoefficientTable.trivial(q), PrimeField(1000003)),
+            (GeneralCoefficientTable.multiplicative(q, weights), QQ),
             (GeneralCoefficientTable.multiplicative(q, weights), PrimeField(1000003)),
             (_tabulated_table(q, rng, 2), QQ),
         ):
+            listed = field is not QQ and not table.base.is_trivial or not table.is_multiplicative
             for truncation in range(n + 3):
-                passes.clear()
-                fresh = GeneralCoefficientTable(q, table.base, table.exceptions)
-                reports = pattern_report(q, truncation, fresh, path_cap=None, field=field)
-                assert sorted(s for s, length in passes if length == truncation) == sorted(
-                    q.vertices
-                )
-                # below n - 1, one more pass to n - 1 from each source with a
-                # target without a walk decides whether its reports are certified
-                recounts = list(dict.fromkeys((r.source, n - 1) for r in reports
-                                              if r.path_count == 0))
-                assert [p for p in passes if p[1] != truncation] == (
-                    recounts if truncation < n - 1 else []
-                )
+                for cap in (None, DEFAULT_PATH_CAP):
+                    passes.clear()
+                    fresh = GeneralCoefficientTable(q, table.base, table.exceptions)
+                    reports = pattern_report(q, truncation, fresh, path_cap=cap, field=field)
+                    # below n - 1, one uncapped packed pass to n - 1 decides
+                    # whether the reports without a walk are certified
+                    uncapped = [("counts", n - 1, None)] if truncation < n - 1 and any(
+                        r.path_count == 0 for r in reports) else []
+                    if not listed:
+                        assert passes == [("counts", truncation, cap)] + uncapped
+                        # every later read on the table, of any pair, reuses them
+                        assert [truncated_hom_dimension(q, fresh, r.source, r.target,
+                                                        truncation, cap, field)
+                                for r in reports] == reports
+                        assert vertex_nondegeneracy(q, fresh, truncation, cap, field) == all(
+                            r.dimension == 1 for r in reports if r.source == r.target)
+                        assert pattern_report(q, truncation, fresh, cap, field) == reports
+                        assert len(passes) == 1 + len(uncapped)
+                        continue
+                    assert [p for p in passes if p[0] == "counts"] == uncapped
+                    walks = [p[1:] for p in passes if p[0] == "walks"]
+                    assert sorted(walks) == sorted((v, truncation, cap, True) for v in q.vertices)
 
 
 def test_tabulated_reports_read_heads_and_middles_once_per_field_and_source(monkeypatch):
