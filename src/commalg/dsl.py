@@ -10,9 +10,10 @@ The format:
 
 "#" starts a line comment, whitespace is insignificant.
 
-``parse_quiver`` matches the header, then each arrow declaration, with one
-regex each.  Text they or ``Quiver`` refuse goes through the token parser from
-the start, whose scanner rejects a bad character before any syntax error.
+``parse_quiver`` deletes the comments, checks every declaration and the
+closing brace by one regex match and reads the arrows by one findall.  Text the
+match or ``Quiver`` refuses goes, as written, through the token parser, whose
+scanner rejects a bad character before any syntax error.
 """
 
 from __future__ import annotations
@@ -34,13 +35,14 @@ _TOKEN_RE = re.compile(
     rf"|(?P<ident>{_IDENT})"
     r"|(?P<bad>.)"
 )
-# whitespace and comments; a comment ends at a line end, so backtracking is linear
-_S = r"(?:\s|#[^\n]*(?![^\n]))*"
-_HEAD_RE = re.compile(rf"{_S}quiver\b{_S}({_IDENT}){_S}\{{{_S}vertices{_S}:"
-                      rf"({_S}{_IDENT}(?:{_S},{_S}{_IDENT})*){_S};")
-_ARROW_RE = re.compile(rf"{_S}({_IDENT}){_S}:{_S}({_IDENT}){_S}->{_S}({_IDENT}){_S}"
-                       rf"(?:\[{_S}weight{_S}={_S}(-?\d+){_S}(?:/{_S}(\d+){_S})?\]{_S})?;")
-_END_RE = re.compile(rf"{_S}\}}{_S}\Z")
+# the grammar over text without comments, where a denominator holds a nonzero
+# digit; an arrow's fields open with "(" for findall, with "(?:" in the body
+_ARROW = (r"\s*{g}{i})\s*:\s*{g}{i})\s*->\s*{g}{i})\s*"
+          r"(?:\[\s*weight\s*=\s*{g}-?\d+)\s*(?:/\s*{g}0*[1-9]\d*)\s*)?\]\s*)?;")
+_ARROW_RE = re.compile(_ARROW.format(g="(", i=_IDENT))
+_BODY_RE = re.compile(rf"\s*quiver\b\s*({_IDENT})\s*\{{\s*vertices\s*:"
+                      rf"(\s*{_IDENT}(?:\s*,\s*{_IDENT})*)\s*;"
+                      rf"(?:{_ARROW.format(g='(?:', i=_IDENT)})*\s*\}}\s*\Z")
 
 
 class _Stream:
@@ -110,20 +112,15 @@ def _parse_rational(stream: _Stream) -> tuple[Fraction, tuple]:
 
 def parse_quiver(text: str) -> Quiver:
     """Parse DSL text into a Quiver; errors carry line and column."""
-    if head := _HEAD_RE.match(text):
-        arrows, weights, pos = [], {}, head.end()
-        # a zero denominator stops the matches short of the closing brace
-        while (match := _ARROW_RE.match(text, pos)) and int(match[5] or 1):
-            arrows.append(Arrow(*match.group(1, 2, 3)))
-            if match[4] is not None:
-                weights[match[1]] = Fraction(int(match[4]), int(match[5] or 1))
-            pos = match.end()
-        if _END_RE.match(text, pos):
-            vertices = re.findall(_IDENT, re.sub(r"#[^\n]*", "", head[2]))
-            try:
-                return Quiver(vertices, arrows, weights, name=head[1])
-            except QuiverError:
-                pass  # a duplicate, an undeclared vertex or a zero weight
+    stripped = re.sub(r"#[^\n]*", "", text) if "#" in text else text
+    if body := _BODY_RE.match(stripped):
+        found = _ARROW_RE.findall(stripped, body.end(2))
+        try:
+            return Quiver(re.findall(_IDENT, body[2]), [Arrow(*f[:3]) for f in found],
+                          {f[0]: Fraction(int(f[3]), int(f[4] or 1)) for f in found if f[3]},
+                          name=body[1])
+        except QuiverError:
+            pass  # a duplicate, an undeclared vertex or a zero weight
     return _parse_tokens(text)
 
 

@@ -105,16 +105,14 @@ class Quiver:
             raise QuiverError("a quiver needs at least one vertex")
         if len(set(self.vertices)) != len(self.vertices):
             raise QuiverError("vertex identifiers must be pairwise distinct")
-        built = []
-        for a in arrows:
-            if not isinstance(a, Arrow):
-                a = Arrow(*a)
-            if a.source not in self.vertex_index:
-                raise QuiverError(f"arrow {a.name!r}: undeclared source vertex {a.source!r}")
-            if a.target not in self.vertex_index:
-                raise QuiverError(f"arrow {a.name!r}: undeclared target vertex {a.target!r}")
-            built.append(a)
-        self.arrows = tuple(built)
+        self.arrows = tuple([a if isinstance(a, Arrow) else Arrow(*a) for a in arrows])
+        index = self.vertex_index
+        try:  # each arrow's endpoint positions, read by the closure and the walk counts
+            self._ends = [(index[a.source], index[a.target]) for a in self.arrows]
+        except KeyError:
+            a = next(a for a in self.arrows if a.source not in index or a.target not in index)
+            end, v = ("source", a.source) if a.source not in index else ("target", a.target)
+            raise QuiverError(f"arrow {a.name!r}: undeclared {end} vertex {v!r}") from None
         seen = set()
         for a in self.arrows:
             if a.name in seen:
@@ -280,12 +278,11 @@ class WalkCounts:
         if cap is not None and cap < 0:
             raise QuiverError("path cap must be nonnegative")
         n, self.index, self.cap, self.over, self.spill = quiver.n, quiver.vertex_index, cap, {}, {}
-        arrows = [(self.index[source], self.index[target]) for _, source, target in quiver.arrows]
 
         def frontiers(frontier):  # the walks of each length, while any is left
             for length in range(1, max_length + 1):
                 frontier, previous = [0] * n, frontier
-                for source, target in arrows:
+                for source, target in quiver._ends:
                     frontier[target] += previous[source]
                 if not any(frontier):
                     return

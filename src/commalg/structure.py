@@ -5,16 +5,16 @@ means i <= j) and handled by the private core at the top of this module: the
 preorder ``ReachabilityPattern`` on the vertices and the partial order
 ``Poset``.  Bool matrices are only constructor input, converted by ``_rows``,
 and views (``bits``, ``Poset.leq``) built when first read.  A closure is read
-over the successor lists and Tarjan's components its caller built once,
-sinks first, each row its mask OR the rows its edges reach.  Every order is
-checked over the edges that generate it (the arrows, a poset's pairs, or a
-matrix's related pairs) by ``_closed_order``: each row holds its group, no
-edge leads back, and each row is its mask OR its successors' rows, which on
-the remaining DAG is reachability.  The path components are the classes of
-equal rows, checked against the components the closure was read over; the
-condensation is the ``Poset`` on the first vertex of each, the skeleton's.
-The pattern in the consistent order of ``consistent_ordering`` is built, and
-checked block by block, only by the commuting algebra's sweep.
+over the successor lists and Tarjan's components its caller built once, sinks
+first, each row its mask OR the rows its edges reach.  Every order is checked
+over the edges that generate it (the arrows, a poset's pairs, or a matrix's
+related pairs) by ``_closed_order``: each row holds its group, no edge leads
+back, and each row is its mask OR its successors' rows, which on the remaining
+DAG is reachability.  The path components are the classes of equal rows,
+checked against the components the closure was read over; the condensation, the
+skeleton's ``Poset`` on the first vertex of each, takes its masks in one loop
+over the members and its edges in one pass.  Only the commuting algebra's sweep
+builds the pattern in the consistent order, checking it block by block.
 """
 
 from __future__ import annotations
@@ -49,8 +49,9 @@ def _rows(matrix: Sequence[Sequence[bool]], n: int, error: type, what: str) -> R
 
 
 def _bitstrings(rows: Rows) -> tuple[str, ...]:
-    n = len(rows)
-    return tuple(format(row, f"0{n}b")[::-1] for row in rows)
+    spec = f"0{len(rows)}b"  # each distinct row once: rows repeat within a block
+    strings = {row: format(row, spec)[::-1] for row in set(rows)}
+    return tuple(map(strings.__getitem__, rows))
 
 
 def _matrix(rows: Rows) -> tuple[tuple[bool, ...], ...]:
@@ -418,12 +419,10 @@ def reachability(quiver: Quiver) -> ReachabilityPattern:
     to be the closure of the arrows between its classes of equal rows, and
     those classes to be the components it was read over.
     """
-    n, idx = quiver.n, quiver.vertex_index
-    pairs = [(idx[a.source], idx[a.target]) for a in quiver.arrows]
-    succ = _successors(n, pairs)
-    sccs = _components(n, succ)
+    succ = _successors(quiver.n, quiver._ends)
+    sccs = _components(quiver.n, succ)
     rows = _closure(succ, sccs)
-    for arrow, (i, j) in zip(quiver.arrows, pairs):
+    for arrow, (i, j) in zip(quiver.arrows, quiver._ends):
         if not rows[i] >> j & 1:
             raise InternalInvariantError(f"pattern misses arrow {arrow.name!r}")
     pattern = _of_rows(ReachabilityPattern, order=quiver.vertices, rows=rows, _succ=succ)
@@ -439,23 +438,29 @@ def condensation(partition: ComponentPartition, pattern: ReachabilityPattern) ->
     be a partial order.  This is where a closure's block shape is checked:
     the member rows of a component must be equal, and ``_closed_order``
     checks them over the pattern's edges between components."""
-    index = pattern.index
+    index, vertex_rows = pattern.index, pattern.rows
+    owner, masks, members = [None] * len(vertex_rows), [], []
     try:
-        members = [[index[v] for v in comp] for comp in partition.components]
+        for c, comp in enumerate(partition.components):
+            mask, js = 0, [index[v] for v in comp]
+            for j in js:
+                owner[j], mask = c, mask | 1 << j
+            masks.append(mask)
+            members.append(js)
     except KeyError as exc:
         raise QuiverError(f"unknown vertex {exc.args[0]!r}") from None
-    masks = [sum(1 << j for j in js) for js in members]
-    owner = {j: c for c, js in enumerate(members) for j in js}
     covered = sum(masks)  # bits of vertices outside the partition are ignored
-    rows = [pattern.rows[js[0]] & covered for js in members]
+    rows = [vertex_rows[js[0]] & covered for js in members]
     for c, js in enumerate(members):
         for j in js[1:]:
-            if pattern.rows[j] & covered != rows[c]:
-                raise _depends(c, owner[next(_bits(pattern.rows[j] & covered ^ rows[c]))])
+            if vertex_rows[j] & covered != rows[c]:
+                raise _depends(c, owner[next(_bits(vertex_rows[j] & covered ^ rows[c]))])
     succ: list[list[int]] = [[] for _ in members]
-    for i, js in enumerate(pattern._succ):
-        if i in owner:  # edges to another component; a vertex outside counts as inside
-            succ[owner[i]] += (owner[j] for j in js if owner.get(j, owner[i]) != owner[i])
+    for c, js in zip(owner, pattern._succ):
+        if c is not None:  # edges to another component; a vertex outside counts as inside
+            for j in js:
+                if (d := owner[j]) != c and d is not None:
+                    succ[c].append(d)
     up, order = _closed_order(rows, masks, succ, InternalInvariantError, "condensation",
                               range(len(members)))
     return _of_rows(Poset, elements=tuple(comp[0] for comp in partition.components),

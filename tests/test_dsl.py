@@ -257,6 +257,43 @@ def test_a_long_comment_before_an_error_is_read_in_linear_time():
     assert str(e) == "line 4, column 3: unexpected character '!'"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("quiver Q {\n  vertices: v;\n  " + "a" * 100_000 + "\n}\n",
+     "line 4, column 1: expected ':', found '}'"),
+    ("quiver Q {\n  vertices: v;" + " " * 100_000 + "!\n}\n",
+     "line 2, column 100015: unexpected character '!'"),
+], ids=["identifier", "spaces"])
+def test_a_long_run_before_an_error_is_read_in_linear_time(text, message):
+    # the body match gives up on a 100 000-character run in one linear pass,
+    # not once per split of it, before the token parser finds the error
+    start = time.perf_counter()
+    e = _err(text)
+    assert time.perf_counter() - start < 0.5
+    assert str(e) == message
+
+
+@pytest.mark.parametrize("gap", [None, "# c\n", "\t", "\r\n", "\t# c\r\n"])
+def test_the_regex_route_reads_canonical_and_spaced_text(monkeypatch, gap):
+    # canonical text of weighted quivers, and the same tokens with ``gap``
+    # between every two of them, never reach the token parser
+    rng, texts, drawn = random.Random(35), [], []
+    for _ in range(200):
+        q = random_quiver(rng.randint(1, 7), rng.randint(1, 10), rng)
+        weights = random_weights(q, rng).weights
+        drawn += weights.values()
+        text = to_dsl(Quiver(q.vertices, q.arrows, weights, name=q.name))
+        tokens = [m.group() for m in dsl._TOKEN_RE.finditer(text) if m.lastgroup]
+        texts.append(text if gap is None else gap.join(tokens))
+    assert min(drawn) < 0 and 1 in drawn and any(w.denominator > 1 for w in drawn)
+    expected = [dsl._parse_tokens(text) for text in texts]
+
+    def refuse(text):
+        raise AssertionError(f"the token parser was called on {text!r}")
+
+    monkeypatch.setattr(dsl, "_parse_tokens", refuse)
+    assert [parse_quiver(text) for text in texts] == expected
+
+
 def test_quiver_is_a_keyword_not_a_prefix():
     e = _err("quiverQ { vertices: v; }")
     assert str(e) == "line 1, column 1: expected 'quiver', found 'quiverQ'"

@@ -70,6 +70,21 @@ def test_undeclared_source_vertex_is_rejected():
         Quiver(["v"], [("a", "u", "v")])
 
 
+@pytest.mark.parametrize("arrows, message", [
+    ([("a", "v", "v"), ("b", "v", "w"), ("c", "u", "v")], "arrow 'b': undeclared target vertex 'w'"),
+    ([("a", "u", "w")], "arrow 'a': undeclared source vertex 'u'"),
+    ([("a", "v", "v"), ("a", "v", "w")], "arrow 'a': undeclared target vertex 'w'"),
+], ids=["first-arrow", "source-first", "before-duplicates"])
+def test_the_first_undeclared_endpoint_is_named(arrows, message):
+    with pytest.raises(QuiverError, match=f"^{re.escape(message)}$"):
+        Quiver(["v"], arrows)
+
+
+def test_endpoint_positions_follow_the_declaration_order():
+    q = Quiver(["u", "v", "w"], [("a", "w", "u"), ("b", "v", "v"), Arrow("c", "u", "w")])
+    assert q._ends == [(2, 0), (1, 1), (0, 2)]
+
+
 def test_weight_one_is_dropped():
     q = Quiver(["v"], [("a", "v", "v"), ("b", "v", "v")], weights={"a": 1, "b": "2/3"})
     assert q.weights == {"b": Fraction(2, 3)}

@@ -119,6 +119,34 @@ def test_condensation_validation():
         condensation(split, reachability(q))
 
 
+def test_condensation_ignores_a_sink_outside_the_partition():
+    # the bits and edges of s, which no component holds, play no part
+    q = Quiver(["a", "b", "s"], [("x", "a", "b"), ("y", "b", "s"), ("z", "a", "s")])
+    cond = condensation(ComponentPartition((("a",), ("b",))), reachability(q))
+    assert cond == Poset(["a", "b"], [[True, True], [False, True]])
+    assert cond.covers == ((0, 1),)
+    assert cond.linear_extension() == (0, 1)
+
+
+def test_condensation_without_the_middle_of_a_path_reaches_too_little():
+    # a -> m -> b without m: a's row holds b, but no edge between components
+    # is left to reach it, since an edge into m counts as staying inside a
+    q = Quiver(["a", "m", "b"], [("x", "a", "m"), ("y", "m", "b")])
+    with pytest.raises(InternalInvariantError,
+                       match="condensation row 0 holds more than its edges reach"):
+        condensation(ComponentPartition((("a",), ("b",))), reachability(q))
+
+
+def test_parallel_arrows_between_components_give_the_poset_of_one():
+    cycle = [("x", "a", "b"), ("y", "b", "a")]
+    one = Quiver(["a", "b", "c"], cycle + [("z", "a", "c")])
+    many = Quiver(["a", "b", "c"], cycle + [("z", "a", "c"), ("w", "a", "c"), ("u", "b", "c")])
+    cond = condensation(path_components(many), reachability(many))
+    assert cond == condensation(path_components(one), reachability(one))
+    assert cond == Poset(["a", "c"], [[True, True], [False, True]])
+    assert (cond.covers, cond.linear_extension(), longest_chain(cond)) == (((0, 1),), (0, 1), 2)
+
+
 def test_topological_order_tie_break():
     # two incomparable components after a common source; smallest index first
     q = Quiver(["s", "b", "a"], [("x", "s", "b"), ("y", "s", "a")])
